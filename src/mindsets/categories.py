@@ -4,7 +4,9 @@ Objects of the time category are step indices 0..n with exactly one arrow
 i -> j when i <= j. A trace induces a functor into intelligence objects:
 each step yields the triple of role carriers evaluated at that snapshot,
 and each arrow yields the map that follows tuples which stay in scope the
-whole way (tuples that leave scope drop out of the map's domain). Mimicry
+whole way (tuples that leave scope drop out of the map's domain). An
+intelligence category is its time functor's own object and arrow tables,
+so `IntelligenceCategory` is another name for `TimeFunctor`. Mimicry
 functors relate two such intelligence categories through per-role tuple
 maps; validation demands totality on the source carriers and commutation
 with time evolution. All law checking is extensional, so every report can
@@ -14,6 +16,7 @@ name the object or triple that broke.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .evolution import Trace
 from .universe import ConstructionError, ElementId, StructureRelation, carrier_at
@@ -46,6 +49,18 @@ FUNCTOR_ROLES = ("input", "processing", "output")
 Tuple_ = tuple[ElementId, ...]
 Carrier = frozenset[Tuple_]
 MapPairs = tuple[tuple[Tuple_, Tuple_], ...]
+
+
+def _by_role(role: str, per_role: tuple):
+    """The entry of `per_role`, listed in FUNCTOR_ROLES order, for `role`."""
+    if role not in FUNCTOR_ROLES:
+        raise ConstructionError(f"unknown role {role!r}")
+    return per_role[FUNCTOR_ROLES.index(role)]
+
+
+def _compose_maps(f: dict[Tuple_, Tuple_], g: dict[Tuple_, Tuple_]) -> dict:
+    """`f` then `g` as partial maps: defined where both steps are."""
+    return {x: g[y] for x, y in f.items() if y in g}
 
 
 @dataclass(frozen=True, eq=True)
@@ -107,14 +122,12 @@ class IntelligenceObject:
     processing_carrier: Carrier
     output_carrier: Carrier
 
+    def carriers(self) -> tuple[Carrier, Carrier, Carrier]:
+        """The three carriers in FUNCTOR_ROLES order."""
+        return (self.input_carrier, self.processing_carrier, self.output_carrier)
+
     def carrier(self, role: str) -> Carrier:
-        if role == "input":
-            return self.input_carrier
-        if role == "processing":
-            return self.processing_carrier
-        if role == "output":
-            return self.output_carrier
-        raise ConstructionError(f"unknown role {role!r}")
+        return _by_role(role, self.carriers())
 
 
 @dataclass(frozen=True, eq=True)
@@ -132,14 +145,12 @@ class IntelligenceMorphism:
     processing_map: MapPairs
     output_map: MapPairs
 
+    def maps(self) -> tuple[MapPairs, MapPairs, MapPairs]:
+        """The three map tables in FUNCTOR_ROLES order."""
+        return (self.input_map, self.processing_map, self.output_map)
+
     def component(self, role: str) -> dict[Tuple_, Tuple_]:
-        if role == "input":
-            return dict(self.input_map)
-        if role == "processing":
-            return dict(self.processing_map)
-        if role == "output":
-            return dict(self.output_map)
-        raise ConstructionError(f"unknown role {role!r}")
+        return dict(_by_role(role, self.maps()))
 
 
 def _pack(mapping: dict[Tuple_, Tuple_]) -> MapPairs:
@@ -149,28 +160,28 @@ def _pack(mapping: dict[Tuple_, Tuple_]) -> MapPairs:
 def _make_morphism(
     source: IntelligenceObject,
     target: IntelligenceObject,
-    maps: dict[str, dict[Tuple_, Tuple_]],
+    maps: list[dict[Tuple_, Tuple_]],
 ) -> IntelligenceMorphism:
-    for role in FUNCTOR_ROLES:
-        src, dst = source.carrier(role), target.carrier(role)
-        for x, y in maps[role].items():
+    """Check and pack one map per role, given in FUNCTOR_ROLES order."""
+    roles = zip(FUNCTOR_ROLES, maps, source.carriers(), target.carriers())
+    for role, mapping, src, dst in roles:
+        for x, y in mapping.items():
             if x not in src or y not in dst:
                 raise ConstructionError(
                     f"{role} map pair {x} -> {y} leaves the carriers"
                 )
-    return IntelligenceMorphism(
-        source=source,
-        target=target,
-        input_map=_pack(maps["input"]),
-        processing_map=_pack(maps["processing"]),
-        output_map=_pack(maps["output"]),
-    )
+    return IntelligenceMorphism(source, target, *map(_pack, maps))
+
+
+def _partial_identity(
+    source: IntelligenceObject, target: IntelligenceObject, kept: tuple[Carrier, ...]
+) -> IntelligenceMorphism:
+    """The morphism fixing the `kept` tuples of each role and nothing else."""
+    return _make_morphism(source, target, [{x: x for x in c} for c in kept])
 
 
 def identity_morphism(obj: IntelligenceObject) -> IntelligenceMorphism:
-    return _make_morphism(
-        obj, obj, {role: {x: x for x in obj.carrier(role)} for role in FUNCTOR_ROLES}
-    )
+    return _partial_identity(obj, obj, obj.carriers())
 
 
 def compose_morphisms(
@@ -179,32 +190,38 @@ def compose_morphisms(
     """`first` followed by `second`; composition of partial maps."""
     if first.target != second.source:
         raise ConstructionError("morphisms do not chain")
-    maps: dict[str, dict[Tuple_, Tuple_]] = {}
-    for role in FUNCTOR_ROLES:
-        f, g = first.component(role), second.component(role)
-        maps[role] = {x: g[y] for x, y in f.items() if y in g}
+    maps = [_compose_maps(dict(f), dict(g)) for f, g in zip(first.maps(), second.maps())]
     return _make_morphism(first.source, second.target, maps)
 
 
 @dataclass(frozen=True, eq=True)
 class TimeFunctor:
-    """Tables sending step i to an object and arrow (i, j) to a morphism."""
+    """Tables sending step i to an object and arrow (i, j) to a morphism.
+
+    The same tables are the intelligence category the functor carves out,
+    so a time functor also serves as a mimicry functor's source or target.
+    """
 
     n: int
     objects: tuple[IntelligenceObject, ...]
     morphism_table: tuple[tuple[tuple[int, int], IntelligenceMorphism], ...]
 
-    def table(self) -> dict[tuple[int, int], IntelligenceMorphism]:
+    @cached_property
+    def _arrows(self) -> dict[tuple[int, int], IntelligenceMorphism]:
         return dict(self.morphism_table)
+
+    def table(self) -> dict[tuple[int, int], IntelligenceMorphism]:
+        """Arrow (i, j) to its morphism; shared by every caller, not to be mutated."""
+        return self._arrows
 
     def object_at(self, i: int) -> IntelligenceObject:
         return self.objects[i]
 
     def morphism(self, i: int, j: int) -> IntelligenceMorphism:
-        for key, m in self.morphism_table:
-            if key == (i, j):
-                return m
-        raise KeyError((i, j))
+        return self._arrows[(i, j)]
+
+
+IntelligenceCategory = TimeFunctor
 
 
 def _role_declarations(t: Trace) -> dict[str, StructureRelation]:
@@ -231,55 +248,27 @@ def functor_from_trace(t: Trace) -> TimeFunctor:
     n = t.n_steps
     objects = tuple(
         IntelligenceObject(
-            step=i,
-            input_carrier=carrier_at(decls["input"], t.snapshots[i]),
-            processing_carrier=carrier_at(decls["processing"], t.snapshots[i]),
-            output_carrier=carrier_at(decls["output"], t.snapshots[i]),
+            i, *(carrier_at(decls[role], t.snapshots[i]) for role in FUNCTOR_ROLES)
         )
         for i in range(n + 1)
     )
 
+    # arrow (i, j) keeps the tuples present in every carrier from i to j
     table: dict[tuple[int, int], IntelligenceMorphism] = {}
     for i in range(n + 1):
-        table[(i, i)] = identity_morphism(objects[i])
-    steps = [
-        _make_morphism(
-            objects[j],
-            objects[j + 1],
-            {
-                role: {
-                    x: x
-                    for x in objects[j].carrier(role)
-                    if x in objects[j + 1].carrier(role)
-                }
-                for role in FUNCTOR_ROLES
-            },
-        )
-        for j in range(n)
-    ]
-    for span in range(1, n + 1):
-        for i in range(n + 1 - span):
-            j = i + span
-            table[(i, j)] = compose_morphisms(table[(i, j - 1)], steps[j - 1])
+        kept = objects[i].carriers()
+        for j in range(i, n + 1):
+            kept = tuple(a & b for a, b in zip(kept, objects[j].carriers()))
+            table[(i, j)] = _partial_identity(objects[i], objects[j], kept)
 
     return TimeFunctor(
         n=n, objects=objects, morphism_table=tuple(sorted(table.items()))
     )
 
 
-@dataclass(frozen=True, eq=True)
-class IntelligenceCategory:
-    """The finite category a time functor carves out: its objects and arrows."""
-
-    objects: tuple[IntelligenceObject, ...]
-    morphism_table: tuple[tuple[tuple[int, int], IntelligenceMorphism], ...]
-
-    def table(self) -> dict[tuple[int, int], IntelligenceMorphism]:
-        return dict(self.morphism_table)
-
-
 def intelligence_category(f: TimeFunctor) -> IntelligenceCategory:
-    return IntelligenceCategory(objects=f.objects, morphism_table=f.morphism_table)
+    """The category `f` carves out, which is `f` itself."""
+    return f
 
 
 class MimicryError(ConstructionError):
@@ -309,17 +298,11 @@ class MimicryFunctor:
     output_component: MapPairs
 
     def component(self, role: str) -> dict[Tuple_, Tuple_]:
-        if role == "input":
-            return dict(self.input_component)
-        if role == "processing":
-            return dict(self.processing_component)
-        if role == "output":
-            return dict(self.output_component)
-        raise ConstructionError(f"unknown role {role!r}")
+        maps = (self.input_component, self.processing_component, self.output_component)
+        return dict(_by_role(role, maps))
 
     def morphism_for(self, i: int, j: int) -> IntelligenceMorphism:
-        key = (self.object_map[i], self.object_map[j])
-        return self.target.table()[key]
+        return self.target.morphism(self.object_map[i], self.object_map[j])
 
 
 def mimicry_functor(
@@ -398,12 +381,7 @@ def mimicry_functor(
                     )
 
     return MimicryFunctor(
-        source=source,
-        target=target,
-        object_map=o,
-        input_component=_pack(components["input"]),
-        processing_component=_pack(components["processing"]),
-        output_component=_pack(components["output"]),
+        source, target, o, *(_pack(components[role]) for role in FUNCTOR_ROLES)
     )
 
 
@@ -423,7 +401,7 @@ def compose_functors(first, second):
     categories must actually meet in the middle; nothing is reordered.
     """
     if isinstance(first, TimeFunctor) and isinstance(second, MimicryFunctor):
-        if intelligence_category(first) != second.source:
+        if first != second.source:
             raise ConstructionError(
                 "functor composition mismatch: first functor's image is not "
                 "the second functor's source category"
@@ -446,10 +424,10 @@ def compose_functors(first, second):
                 "the second functor's source category"
             )
         o = tuple(second.object_map[i] for i in first.object_map)
-        components = {}
-        for role in FUNCTOR_ROLES:
-            f, g = first.component(role), second.component(role)
-            components[role] = {x: g[y] for x, y in f.items() if y in g}
+        components = {
+            role: _compose_maps(first.component(role), second.component(role))
+            for role in FUNCTOR_ROLES
+        }
         return mimicry_functor(first.source, second.target, o, components)
     raise ConstructionError(
         "cannot compose: expected time-then-mimicry or mimicry-then-mimicry"

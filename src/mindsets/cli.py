@@ -16,7 +16,6 @@ from .categories import (
     MimicryError,
     check_functor_laws,
     functor_from_trace,
-    intelligence_category,
     mimicry_functor,
 )
 from .classify import WindowError, activity, brute_force_classify, classify
@@ -125,8 +124,8 @@ def _cmd_functor_check(args) -> int:
 
 
 def _cmd_mimic_check(args) -> int:
-    source_cat = intelligence_category(functor_from_trace(read_trace(args.source)))
-    target_cat = intelligence_category(functor_from_trace(read_trace(args.target)))
+    source_cat = functor_from_trace(read_trace(args.source))
+    target_cat = functor_from_trace(read_trace(args.target))
     data = load_mapping(args.map)
     object_map = mapping_object_map(data, len(source_cat.objects))
     components = mapping_components(data)

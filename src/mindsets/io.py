@@ -116,10 +116,17 @@ def _parse_json(line: str, line_no: int) -> dict:
     return obj
 
 
+def _read_text(path: str | Path, error: type[ConstructionError]) -> str:
+    """The file's text; bytes that are not UTF-8 raise `error` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: byte {exc.start} is not UTF-8 text") from None
+
+
 def read_trace(source: str | Path) -> Trace:
     """Parse and replay a trace file; failures name the line or step."""
-    text = Path(source).read_text()
-    lines = text.splitlines()
+    lines = _read_text(source, TraceFormatError).splitlines()
     if not lines:
         raise TraceFormatError("empty trace file")
 
@@ -195,26 +202,22 @@ def parse_window(text: str) -> tuple[int, int]:
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    """Flat key=value file over ScenarioConfig fields; types come from the field."""
-    field_types = {f.name: f.type for f in fields(ScenarioConfig)}
-    cfg = ScenarioConfig()
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    """Flat key=value file over ScenarioConfig fields; each value is parsed
+    with the type of its field's default."""
+    names = {f.name for f in fields(ScenarioConfig)}
+    defaults = ScenarioConfig()
+    cfg = defaults
+    for line_no, raw in enumerate(_read_text(path, ConfigError).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in field_types:
+        if key not in names:
             raise ConfigError(f"line {line_no}: unknown config key {key!r}")
-        kind = field_types[key]
         try:
-            if kind == "int":
-                parsed: int | float | str = int(value)
-            elif kind == "float":
-                parsed = float(value)
-            else:
-                parsed = value
+            parsed = type(getattr(defaults, key))(value)
         except ValueError:
             raise ConfigError(f"line {line_no}: bad value for {key!r}") from None
         cfg = replace(cfg, **{key: parsed})
@@ -223,7 +226,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 def load_mapping(path: str | Path) -> dict:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(_read_text(path, MappingFormatError))
     except json.JSONDecodeError as exc:
         raise MappingFormatError(f"invalid JSON ({exc.msg})") from exc
     _check_mapping_shape(data)

@@ -41,6 +41,8 @@ __all__ = [
     "aplysia_scenario",
     "sandpile_scenario",
     "powered_off_scenario",
+    "make_scenario",
+    "habituation_extinction_point",
     "SCENARIO_NAMES",
 ]
 

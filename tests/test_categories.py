@@ -6,7 +6,9 @@ from mindsets import (
     EXTERNAL_IN,
     EXTERNAL_OUT,
     ConstructionError,
+    IntelligenceMorphism,
     MimicryError,
+    ScenarioConfig,
     StructureRelation,
     TimeMorphism,
     TransferEvent,
@@ -18,6 +20,7 @@ from mindsets import (
     identity_functor,
     identity_morphism,
     intelligence_category,
+    make_scenario,
     make_snapshot,
     mimicry_functor,
     time_category,
@@ -147,6 +150,44 @@ def test_functor_identities_and_closure():
                 assert compose_morphisms(table[(i, j)], table[(j, k)]) == table[(i, k)]
     with pytest.raises(KeyError):
         f.morphism(2, 0)
+
+
+@pytest.mark.parametrize(
+    "make_trace",
+    [
+        lambda: make_scenario("aplysia", ScenarioConfig()).trace,  # 90 steps
+        lambda: out_and_back("a", "b", extra_steps=3),  # tuples drop out
+    ],
+    ids=["aplysia", "out-and-back"],
+)
+def test_functor_arrows_are_the_folds_of_the_step_arrows(make_trace):
+    # the composition chain over the step arrows (i, i+1), built here from the
+    # objects' carriers alone, is the oracle for the direct build
+    f = functor_from_trace(make_trace())
+    steps = [
+        IntelligenceMorphism(
+            a,
+            b,
+            *(tuple((x, x) for x in sorted(ca & cb)) for ca, cb in zip(a.carriers(), b.carriers())),
+        )
+        for a, b in zip(f.objects, f.objects[1:])
+    ]
+    for i in range(f.n + 1):
+        fold = identity_morphism(f.objects[i])
+        assert f.morphism(i, i) == fold
+        for j in range(i + 1, f.n + 1):
+            fold = compose_morphisms(fold, steps[j - 1])
+            assert f.morphism(i, j) == fold, (i, j)
+
+
+def test_roles_outside_the_three_are_refused():
+    f = functor_from_trace(steady_trace(("a", "b")))
+    with pytest.raises(ConstructionError, match="unknown role"):
+        f.objects[0].carrier("bogus")
+    with pytest.raises(ConstructionError, match="unknown role"):
+        f.morphism(0, 1).component("bogus")
+    with pytest.raises(ConstructionError, match="unknown role"):
+        identity_functor(f).component("bogus")
 
 
 def test_functor_requires_one_structure_per_role():

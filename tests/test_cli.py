@@ -74,7 +74,7 @@ def test_classify_windows(small_traces, capsys):
     assert code == 2
 
 
-def test_bad_inputs_exit_three(tmp_path, capsys):
+def test_bad_inputs_exit_three(small_traces, tmp_path, capsys):
     code, _, err = run_cli(capsys, "classify", "--trace", str(tmp_path / "none.trace"))
     assert code == 3 and "error:" in err
     garbage = tmp_path / "garbage.trace"
@@ -85,6 +85,18 @@ def test_bad_inputs_exit_three(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", "--scenario", "off", "--config", str(cfg),
                            "--out", str(tmp_path / "x.trace"))
     assert code == 3 and "unknown config key" in err
+
+    # bytes that are not UTF-8 name the file and the offset of the first bad byte
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b'{"format": "caf\xe9"}\n')
+    for argv in (
+        ("classify", "--trace", str(latin1)),
+        ("run", "--scenario", "off", "--config", str(latin1), "--out", str(tmp_path / "y")),
+        ("mimic-check", "--source", str(small_traces["aplysia"]),
+         "--target", str(small_traces["hebbian"]), "--map", str(latin1)),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3 and f"{latin1}: byte 15 is not UTF-8 text" in err, argv
 
 
 def test_usage_errors_exit_two(capsys):
