@@ -124,6 +124,49 @@ def _read_text(path: str | Path, error: type[ConstructionError]) -> str:
         raise error(f"{path}: byte {exc.start} is not UTF-8 text") from None
 
 
+def _text(value, line_no: int, what: str) -> str:
+    if not isinstance(value, str):
+        raise TraceFormatError(f"line {line_no}: {what} is not a string")
+    return value
+
+
+def _integer(value, line_no: int, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TraceFormatError(f"line {line_no}: {what} is not an integer")
+    return value
+
+
+def _object(value, line_no: int, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise TraceFormatError(f"line {line_no}: {what} is not an object")
+    return value
+
+
+def _state(value, line_no: int, what: str) -> dict:
+    """An element state: an object whose values are scalars, as `State` holds."""
+    for key, v in _object(value, line_no, what).items():
+        if not isinstance(v, (int, float, str)):
+            raise TraceFormatError(f"line {line_no}: {what} value {key!r} is not a scalar")
+    return value
+
+
+def _event(e, step: int, line_no: int) -> TransferEvent:
+    e = _object(e, line_no, "event")
+    kind = _text(e["kind"], line_no, "kind")
+    moved = e["moved"]
+    if not isinstance(moved, list):
+        raise TraceFormatError(f"line {line_no}: moved is not a list")
+    from_region = _text(e["from"], line_no, "from")
+    to_region = _text(e["to"], line_no, "to")
+    via = e["via"]
+    if via is not None:
+        _text(via, line_no, "via")
+    updates = _object(e["updates"], line_no, "updates")
+    for eid, attrs in updates.items():
+        _state(attrs, line_no, f"update of {eid!r}")
+    return TransferEvent.make(step, kind, moved, from_region, to_region, via, updates)
+
+
 def read_trace(source: str | Path) -> Trace:
     """Parse and replay a trace file; failures name the line or step."""
     lines = _read_text(source, TraceFormatError).splitlines()
@@ -139,12 +182,17 @@ def read_trace(source: str | Path) -> Trace:
         )
 
     try:
-        elements = [(eid, state) for eid, _, state in header["elements"]]
-        membership = {eid: region for eid, region, _ in header["elements"]}
+        elements = [
+            (_text(eid, 1, "element id"), _state(state, 1, f"state of {eid!r}"))
+            for eid, _, state in header["elements"]
+        ]
+        membership = {
+            eid: _text(region, 1, f"region of {eid!r}") for eid, region, _ in header["elements"]
+        }
         region_side = {r: side for r, side in header["regions"]}
         declarations = [
             StructureRelation(
-                id=d["id"],
+                id=_text(d["id"], 1, "declaration id"),
                 role=d["role"],
                 arity=d["arity"],
                 tuples=frozenset(tuple(t) for t in d["tuples"]),
@@ -153,7 +201,14 @@ def read_trace(source: str | Path) -> Trace:
             )
             for d in header["declarations"]
         ]
-        phases = [Phase(label, start, stop) for label, start, stop in header["phases"]]
+        phases = [
+            Phase(
+                _text(label, 1, "phase label"),
+                _integer(start, 1, f"start of phase {label!r}"),
+                _integer(stop, 1, f"stop of phase {label!r}"),
+            )
+            for label, start, stop in header["phases"]
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"line 1: malformed header ({exc})") from exc
 
@@ -165,23 +220,10 @@ def read_trace(source: str | Path) -> Trace:
         obj = _parse_json(line, line_no)
         if obj.get("step") != idx:
             raise TraceFormatError(f"line {line_no}: expected step {idx}")
-        events = []
         try:
-            for e in obj["events"]:
-                events.append(
-                    TransferEvent.make(
-                        step=idx,
-                        kind=e["kind"],
-                        moved=frozenset(e["moved"]),
-                        from_region=e["from"],
-                        to_region=e["to"],
-                        via_structure=e["via"],
-                        state_updates=e["updates"] or None,
-                    )
-                )
+            schedule.append([_event(e, idx, line_no) for e in obj["events"]])
         except (KeyError, TypeError) as exc:
             raise TraceFormatError(f"line {line_no}: malformed event ({exc})") from exc
-        schedule.append(events)
 
     return build_trace(initial, schedule, phases, declarations)
 
@@ -267,13 +309,18 @@ def mapping_object_map(data: dict, source_len: int) -> tuple[int, ...]:
     return tuple(pairs[i] for i in range(source_len))
 
 
+def _is_tuple(side) -> bool:
+    """A list of element ids; a bare string would split into its characters."""
+    return isinstance(side, list) and all(isinstance(eid, str) for eid in side)
+
+
 def mapping_components(data: dict) -> dict[str, dict[tuple, tuple]]:
     components: dict[str, dict[tuple, tuple]] = {}
     for role, pairs in data["components"].items():
         try:
-            components[role] = {
-                tuple(src): tuple(dst) for src, dst in pairs
-            }
+            if not all(_is_tuple(side) for pair in pairs for side in pair):
+                raise TypeError("tuples must be lists of element ids")
+            components[role] = {tuple(src): tuple(dst) for src, dst in pairs}
         except (TypeError, ValueError) as exc:
             raise MappingFormatError(
                 f"component map for {role!r} must list [source_tuple, target_tuple] pairs"

@@ -10,8 +10,11 @@ same artifact.
 
 Conventions shared by the generators: apparatus elements (sensors, weights,
 judges) stay in their home regions forever while token elements flow through
-them; every learning or test trial is a fixed step cycle; all randomness
-comes from one seeded generator, so equal configs give identical bundles.
+them; every learning or test trial is a fixed step cycle; one builder holds
+each roster and schedule, numbers every step by its position, and declares
+the three arity-1 role structures (input, processing, output); all
+randomness comes from one seeded generator, so equal configs give identical
+bundles.
 """
 
 from __future__ import annotations
@@ -30,7 +33,13 @@ from .evolution import (
     TransferEvent,
     build_trace,
 )
-from .universe import ConstructionError, Snapshot, StructureRelation, make_snapshot
+from .universe import (
+    ENVIRONMENT,
+    SYSTEM,
+    ConstructionError,
+    StructureRelation,
+    make_snapshot,
+)
 
 __all__ = [
     "ScenarioConfig",
@@ -145,6 +154,53 @@ class ScenarioBundle:
 
 
 # ---------------------------------------------------------------------------
+# trace builder
+
+
+class _TraceBuilder:
+    """Roster and schedule of one generated trace.
+
+    The first region is the single environment region, the rest are system
+    regions. `step` appends one step whose events take their step number
+    from its position; each move is (kind, tokens, from, to, via[, updates]).
+    """
+
+    def __init__(self, environment: str, *system: str):
+        self.region_side = {environment: ENVIRONMENT, **{r: SYSTEM for r in system}}
+        self.elements: list[tuple[str, dict | None]] = []
+        self.membership: dict[str, str] = {}
+        self.schedule: list[list[TransferEvent]] = []
+
+    def add(self, eid: str, region: str, state: dict | None = None) -> None:
+        self.elements.append((eid, state))
+        self.membership[eid] = region
+
+    def step(self, *moves) -> None:
+        step = len(self.schedule)
+        self.schedule.append([TransferEvent.make(step, *move) for move in moves])
+
+    def trace(self, phases, inputs, processing, outputs) -> Trace:
+        """Replay the schedule under the three arity-1 role structures, each
+        given as (element ids, scope regions)."""
+        declarations = [
+            StructureRelation(
+                id=f"{role}_structure",
+                role=role,
+                arity=1,
+                tuples=frozenset((eid,) for eid in ids),
+                scope=frozenset(scope),
+            )
+            for role, (ids, scope) in zip(THREE_STEP, (inputs, processing, outputs))
+        ]
+        initial = make_snapshot(self.elements, self.membership, self.region_side)
+        return build_trace(initial, self.schedule, phases, declarations)
+
+
+def _two_phases(learning_stop: int, test_stop: int) -> list[Phase]:
+    return [Phase(LEARNING, 0, learning_stop), Phase(TEST, learning_stop, test_stop)]
+
+
+# ---------------------------------------------------------------------------
 # shared pattern task
 
 
@@ -175,33 +231,38 @@ def _lit(x: np.ndarray) -> list[int]:
     return [int(p) for p in np.flatnonzero(x)]
 
 
+def _pattern_task(cfg: ScenarioConfig, rng: np.random.Generator):
+    """Input pixel ids, then the learning and the test trials as (label,
+    pattern, token ids) triples; learning patterns are drawn first. Token
+    `stim_t_p` / `probe_u_p` carries lit pixel p of trial t / u."""
+    protos = _prototypes(cfg.pattern_size, cfg.class_count)
+    pixels = [f"in_px_{p}" for p in range(protos.shape[1])]
+    trials = []
+    for count, prefix in ((cfg.trials, "stim"), (cfg.test_count, "probe")):
+        labels = [i % cfg.class_count for i in range(count)]
+        patterns = _sample_patterns(rng, protos, labels, cfg.noise)
+        trials.append(
+            [
+                (y, x, [f"{prefix}_{i}_{p}" for p in _lit(x)])
+                for i, (y, x) in enumerate(zip(labels, patterns))
+            ]
+        )
+    return pixels, trials[0], trials[1]
+
+
+def _pattern_trial(b: _TraceBuilder, tokens, resp: str, response: dict, updates=None) -> None:
+    """Tokens arrive at the input layer, move inward (optionally updating
+    weights), and the response token leaves carrying `response`."""
+    b.step((EXTERNAL_IN, tokens, "world", "input_layer", "input_structure"))
+    b.step((INTERNAL, tokens, "input_layer", "hidden_layer", "processing_structure", updates))
+    b.step((EXTERNAL_OUT, [resp], "output_layer", "world", "output_structure", {resp: response}))
+
+
 def _weight_state(prefix: str, vec: np.ndarray, bias: float | None = None) -> dict:
     state = {f"{prefix}{i}": float(v) for i, v in enumerate(vec)}
     if bias is not None:
         state["b"] = float(bias)
     return state
-
-
-def _token_event(step, kind, tokens, src, dst, via, updates=None) -> TransferEvent:
-    return TransferEvent.make(
-        step=step,
-        kind=kind,
-        moved=frozenset(tokens),
-        from_region=src,
-        to_region=dst,
-        via_structure=via,
-        state_updates=updates,
-    )
-
-
-def _unary(decl_id: str, role: str, ids, scope) -> StructureRelation:
-    return StructureRelation(
-        id=decl_id,
-        role=role,
-        arity=1,
-        tuples=frozenset((eid,) for eid in ids),
-        scope=frozenset(scope),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -218,137 +279,42 @@ def hebbian_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
     largest norm of weights gated by the pattern.
     """
     cfg.validate()
-    rng = np.random.default_rng(cfg.seed)
-    n_px = cfg.pattern_size * cfg.pattern_size
-    protos = _prototypes(cfg.pattern_size, cfg.class_count)
+    pixels, learn, test = _pattern_task(cfg, np.random.default_rng(cfg.seed))
+    nets = [f"net_{c}" for c in range(cfg.class_count)]
 
-    learn_labels = [t % cfg.class_count for t in range(cfg.trials)]
-    test_labels = [u % cfg.class_count for u in range(cfg.test_count)]
-    learn_x = _sample_patterns(rng, protos, learn_labels, cfg.noise)
-    test_x = _sample_patterns(rng, protos, test_labels, cfg.noise)
-
-    region_side = {
-        "world": "environment",
-        "input_layer": "system",
-        "hidden_layer": "system",
-        "output_layer": "system",
-    }
-    elements: list[tuple[str, dict | None]] = []
-    membership: dict[str, str] = {}
-
-    def add(eid, region, state=None):
-        elements.append((eid, state))
-        membership[eid] = region
-
-    for p in range(n_px):
-        add(f"in_px_{p}", "input_layer")
-    for c in range(cfg.class_count):
-        add(f"net_{c}", "hidden_layer", _weight_state("w", np.zeros(n_px)))
-    add("judge", "output_layer")
+    b = _TraceBuilder("world", "input_layer", "hidden_layer", "output_layer")
+    for px in pixels:
+        b.add(px, "input_layer")
+    for net in nets:
+        b.add(net, "hidden_layer", _weight_state("w", np.zeros(len(pixels))))
+    b.add("judge", "output_layer")
     total_trials = cfg.trials + cfg.test_count
     for t in range(total_trials):
-        add(f"resp_{t}", "output_layer")
-    for t in range(cfg.trials):
-        for p in _lit(learn_x[t]):
-            add(f"stim_{t}_{p}", "world")
-    for u in range(cfg.test_count):
-        for p in _lit(test_x[u]):
-            add(f"probe_{u}_{p}", "world")
+        b.add(f"resp_{t}", "output_layer")
+    for _, _, tokens in learn + test:
+        for token in tokens:
+            b.add(token, "world")
 
-    initial = make_snapshot(elements, membership, region_side)
-
-    weights = np.zeros((cfg.class_count, n_px))
-    schedule: list[list[TransferEvent]] = []
+    weights = np.zeros((cfg.class_count, len(pixels)))
     records: list[TrialRecord] = []
-
-    for t in range(cfg.trials):
-        y = learn_labels[t]
-        tokens = [f"stim_{t}_{p}" for p in _lit(learn_x[t])]
-        step = len(schedule)
-        schedule.append(
-            [_token_event(step, EXTERNAL_IN, tokens, "world", "input_layer", "input_structure")]
-        )
-        weights[y] = weights[y] + cfg.learning_rate * learn_x[t]
-        schedule.append(
-            [
-                _token_event(
-                    step + 1,
-                    INTERNAL,
-                    tokens,
-                    "input_layer",
-                    "hidden_layer",
-                    "processing_structure",
-                    updates={f"net_{y}": _weight_state("w", weights[y])},
-                )
-            ]
-        )
-        schedule.append(
-            [
-                _token_event(
-                    step + 2,
-                    EXTERNAL_OUT,
-                    [f"resp_{t}"],
-                    "output_layer",
-                    "world",
-                    "output_structure",
-                    updates={f"resp_{t}": {"meaningful": 0}},
-                )
-            ]
-        )
+    for t, (y, x, tokens) in enumerate(learn):
+        weights[y] = weights[y] + cfg.learning_rate * x
+        update = {nets[y]: _weight_state("w", weights[y])}
+        _pattern_trial(b, tokens, f"resp_{t}", {"meaningful": 0}, update)
         records.append(TrialRecord(LEARNING, t, str(y), None, None))
 
-    for u in range(cfg.test_count):
-        y = test_labels[u]
-        scores = np.linalg.norm(weights * test_x[u], axis=1)
-        judged = int(np.argmax(scores))
-        tokens = [f"probe_{u}_{p}" for p in _lit(test_x[u])]
-        step = len(schedule)
-        schedule.append(
-            [_token_event(step, EXTERNAL_IN, tokens, "world", "input_layer", "input_structure")]
-        )
-        schedule.append(
-            [
-                _token_event(
-                    step + 1,
-                    INTERNAL,
-                    tokens,
-                    "input_layer",
-                    "hidden_layer",
-                    "processing_structure",
-                )
-            ]
-        )
+    for u, (y, x, tokens) in enumerate(test):
+        judged = int(np.argmax(np.linalg.norm(weights * x, axis=1)))
         resp = f"resp_{cfg.trials + u}"
-        schedule.append(
-            [
-                _token_event(
-                    step + 2,
-                    EXTERNAL_OUT,
-                    [resp],
-                    "output_layer",
-                    "world",
-                    "output_structure",
-                    updates={resp: {"meaningful": 1, "predicted": judged}},
-                )
-            ]
-        )
+        _pattern_trial(b, tokens, resp, {"meaningful": 1, "predicted": judged})
         records.append(TrialRecord(TEST, u, str(y), str(judged), judged == y))
 
-    declarations = [
-        _unary("input_structure", "input", (f"in_px_{p}" for p in range(n_px)), ["input_layer"]),
-        _unary(
-            "processing_structure",
-            "processing",
-            (f"net_{c}" for c in range(cfg.class_count)),
-            ["hidden_layer"],
-        ),
-        _unary("output_structure", "output", ["judge"], ["output_layer"]),
-    ]
-    phases = [
-        Phase(LEARNING, 0, 3 * cfg.trials),
-        Phase(TEST, 3 * cfg.trials, 3 * total_trials),
-    ]
-    trace = build_trace(initial, schedule, phases, declarations)
+    trace = b.trace(
+        _two_phases(3 * cfg.trials, 3 * total_trials),
+        (pixels, ["input_layer"]),
+        (nets, ["hidden_layer"]),
+        (["judge"], ["output_layer"]),
+    )
     return ScenarioBundle(
         name="hebbian",
         trace=trace,
@@ -378,58 +344,35 @@ def backprop_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
-    n_px = cfg.pattern_size * cfg.pattern_size
-    protos = _prototypes(cfg.pattern_size, cfg.class_count)
+    pixels, learn, test = _pattern_task(cfg, rng)
 
-    learn_labels = [t % cfg.class_count for t in range(cfg.trials)]
-    test_labels = [u % cfg.class_count for u in range(cfg.test_count)]
-    learn_x = _sample_patterns(rng, protos, learn_labels, cfg.noise)
-    test_x = _sample_patterns(rng, protos, test_labels, cfg.noise)
-
-    w1 = rng.normal(0.0, 0.5, size=(cfg.hidden_size, n_px))
+    w1 = rng.normal(0.0, 0.5, size=(cfg.hidden_size, len(pixels)))
     b1 = np.zeros(cfg.hidden_size)
     w2 = rng.normal(0.0, 0.5, size=(cfg.class_count, cfg.hidden_size))
     b2 = np.zeros(cfg.class_count)
 
-    region_side = {
-        "world": "environment",
-        "input_layer": "system",
-        "hidden_layer": "system",
-        "trained_pool": "system",
-        "output_layer": "system",
-        "loss_unit": "system",
-    }
-    elements: list[tuple[str, dict | None]] = []
-    membership: dict[str, str] = {}
-
-    def add(eid, region, state=None):
-        elements.append((eid, state))
-        membership[eid] = region
-
-    for p in range(n_px):
-        add(f"in_px_{p}", "input_layer")
-    for j in range(cfg.hidden_size):
-        add(f"h_{j}", "hidden_layer", _weight_state("w", w1[j], b1[j]))
-    for c in range(cfg.class_count):
-        add(f"o_{c}", "output_layer", _weight_state("h", w2[c], b2[c]))
-    add("sig", "output_layer")
-    add("loss", "loss_unit")
+    b = _TraceBuilder(
+        "world", "input_layer", "hidden_layer", "trained_pool", "output_layer", "loss_unit"
+    )
+    hidden_units = [f"h_{j}" for j in range(cfg.hidden_size)]
+    output_units = [f"o_{c}" for c in range(cfg.class_count)]
+    for px in pixels:
+        b.add(px, "input_layer")
+    for j, unit in enumerate(hidden_units):
+        b.add(unit, "hidden_layer", _weight_state("w", w1[j], b1[j]))
+    for c, unit in enumerate(output_units):
+        b.add(unit, "output_layer", _weight_state("h", w2[c], b2[c]))
+    b.add("sig", "output_layer")
+    b.add("loss", "loss_unit")
     for u in range(cfg.test_count):
-        add(f"resp_{u}", "output_layer")
-    for t in range(cfg.trials):
-        for p in _lit(learn_x[t]):
-            add(f"stim_{t}_{p}", "world")
-    for u in range(cfg.test_count):
-        for p in _lit(test_x[u]):
-            add(f"probe_{u}_{p}", "world")
+        b.add(f"resp_{u}", "output_layer")
+    for _, _, tokens in learn + test:
+        for token in tokens:
+            b.add(token, "world")
 
-    initial = make_snapshot(elements, membership, region_side)
-    schedule: list[list[TransferEvent]] = []
     records: list[TrialRecord] = []
-
-    for t in range(cfg.trials):
-        x = learn_x[t].astype(float)
-        y = learn_labels[t]
+    for t, (y, pattern, tokens) in enumerate(learn):
+        x = pattern.astype(float)
         hidden = np.tanh(w1 @ x + b1)
         probs = _softmax(w2 @ hidden + b2)
         loss = -float(np.log(probs[y]))
@@ -446,113 +389,29 @@ def backprop_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
         w1 = w1 - cfg.learning_rate * dw1
         b1 = b1 - cfg.learning_rate * db1
 
-        tokens = [f"stim_{t}_{p}" for p in _lit(learn_x[t])]
-        step = len(schedule)
-        schedule.append(
-            [_token_event(step, EXTERNAL_IN, tokens, "world", "input_layer", "input_structure")]
-        )
-        schedule.append(
-            [
-                _token_event(
-                    step + 1, INTERNAL, tokens, "input_layer", "hidden_layer", "processing_structure"
-                )
-            ]
-        )
-        schedule.append(
-            [
-                _token_event(
-                    step + 2, INTERNAL, ["sig"], "output_layer", "loss_unit", "output_structure"
-                )
-            ]
-        )
-        schedule.append(
-            [
-                _token_event(
-                    step + 3,
-                    INTERNAL,
-                    ["sig"],
-                    "loss_unit",
-                    "output_layer",
-                    "input_structure",
-                    updates={
-                        f"o_{c}": _weight_state("h", w2[c], b2[c])
-                        for c in range(cfg.class_count)
-                    },
-                )
-            ]
-        )
-        schedule.append(
-            [
-                _token_event(
-                    step + 4,
-                    INTERNAL,
-                    tokens,
-                    "hidden_layer",
-                    "trained_pool",
-                    "processing_structure",
-                    updates={
-                        f"h_{j}": _weight_state("w", w1[j], b1[j])
-                        for j in range(cfg.hidden_size)
-                    },
-                )
-            ]
-        )
+        o_update = {o: _weight_state("h", w2[c], b2[c]) for c, o in enumerate(output_units)}
+        h_update = {h: _weight_state("w", w1[j], b1[j]) for j, h in enumerate(hidden_units)}
+        b.step((EXTERNAL_IN, tokens, "world", "input_layer", "input_structure"))
+        b.step((INTERNAL, tokens, "input_layer", "hidden_layer", "processing_structure"))
+        b.step((INTERNAL, ["sig"], "output_layer", "loss_unit", "output_structure"))
+        b.step((INTERNAL, ["sig"], "loss_unit", "output_layer", "input_structure", o_update))
+        b.step((INTERNAL, tokens, "hidden_layer", "trained_pool", "processing_structure", h_update))
         records.append(TrialRecord(LEARNING, t, str(y), None, None, score=loss))
 
-    for u in range(cfg.test_count):
-        x = test_x[u].astype(float)
-        y = test_labels[u]
+    for u, (y, pattern, tokens) in enumerate(test):
+        x = pattern.astype(float)
         hidden = np.tanh(w1 @ x + b1)
         probs = _softmax(w2 @ hidden + b2)
         judged = int(np.argmax(probs))
-
-        tokens = [f"probe_{u}_{p}" for p in _lit(test_x[u])]
-        step = len(schedule)
-        schedule.append(
-            [_token_event(step, EXTERNAL_IN, tokens, "world", "input_layer", "input_structure")]
-        )
-        schedule.append(
-            [
-                _token_event(
-                    step + 1, INTERNAL, tokens, "input_layer", "hidden_layer", "processing_structure"
-                )
-            ]
-        )
-        schedule.append(
-            [
-                _token_event(
-                    step + 2,
-                    EXTERNAL_OUT,
-                    [f"resp_{u}"],
-                    "output_layer",
-                    "world",
-                    "output_structure",
-                    updates={f"resp_{u}": {"meaningful": 1, "predicted": judged}},
-                )
-            ]
-        )
+        _pattern_trial(b, tokens, f"resp_{u}", {"meaningful": 1, "predicted": judged})
         records.append(TrialRecord(TEST, u, str(y), str(judged), judged == y))
 
-    declarations = [
-        _unary("input_structure", "input", (f"in_px_{p}" for p in range(n_px)), ["input_layer"]),
-        _unary(
-            "processing_structure",
-            "processing",
-            (f"h_{j}" for j in range(cfg.hidden_size)),
-            ["hidden_layer"],
-        ),
-        _unary(
-            "output_structure",
-            "output",
-            (f"o_{c}" for c in range(cfg.class_count)),
-            ["output_layer"],
-        ),
-    ]
-    phases = [
-        Phase(LEARNING, 0, 5 * cfg.trials),
-        Phase(TEST, 5 * cfg.trials, 5 * cfg.trials + 3 * cfg.test_count),
-    ]
-    trace = build_trace(initial, schedule, phases, declarations)
+    trace = b.trace(
+        _two_phases(5 * cfg.trials, 5 * cfg.trials + 3 * cfg.test_count),
+        (pixels, ["input_layer"]),
+        (hidden_units, ["hidden_layer"]),
+        (output_units, ["output_layer"]),
+    )
     return ScenarioBundle(
         name="backprop",
         trace=trace,
@@ -578,36 +437,17 @@ def aplysia_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
     cfg.validate()
     total = cfg.trials + cfg.test_count
 
-    region_side = {
-        "sea": "environment",
-        "receptors": "system",
-        "motor_pool": "system",
-        "gill_muscle": "system",
-    }
-    elements: list[tuple[str, dict | None]] = [
-        ("skin_0", None),
-        ("skin_1", None),
-        ("syn", {"strength": cfg.initial_strength}),
-        ("motor", None),
-        ("gill", None),
-    ]
-    membership = {
-        "skin_0": "receptors",
-        "skin_1": "receptors",
-        "syn": "motor_pool",
-        "motor": "motor_pool",
-        "gill": "gill_muscle",
-    }
+    b = _TraceBuilder("sea", "receptors", "motor_pool", "gill_muscle")
+    b.add("skin_0", "receptors")
+    b.add("skin_1", "receptors")
+    b.add("syn", "motor_pool", {"strength": cfg.initial_strength})
+    b.add("motor", "motor_pool")
+    b.add("gill", "gill_muscle")
     for t in range(total):
-        elements.append((f"stim_{t}", None))
-        membership[f"stim_{t}"] = "sea"
-        elements.append((f"resp_{t}", None))
-        membership[f"resp_{t}"] = "gill_muscle"
+        b.add(f"stim_{t}", "sea")
+        b.add(f"resp_{t}", "gill_muscle")
 
-    initial = make_snapshot(elements, membership, region_side)
-    schedule: list[list[TransferEvent]] = []
     records: list[TrialRecord] = []
-
     strength = cfg.initial_strength
     m = cfg.stimulus_magnitude
     for t in range(total):
@@ -615,14 +455,6 @@ def aplysia_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
         drive = strength * m
         respond = drive >= cfg.threshold
 
-        step = len(schedule)
-        schedule.append(
-            [
-                _token_event(
-                    step, EXTERNAL_IN, [f"stim_{t}"], "sea", "receptors", "input_structure"
-                )
-            ]
-        )
         updates = None
         if learning:
             if cfg.aplysia_stimuli == "strong":
@@ -630,34 +462,13 @@ def aplysia_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
             else:
                 strength = max(strength - cfg.habituation_decrement, 0.0)
             updates = {"syn": {"strength": float(strength)}}
-        schedule.append(
-            [
-                _token_event(
-                    step + 1,
-                    INTERNAL,
-                    [f"stim_{t}"],
-                    "receptors",
-                    "motor_pool",
-                    "processing_structure",
-                    updates=updates,
-                )
-            ]
-        )
+        stim = [f"stim_{t}"]
+        b.step((EXTERNAL_IN, stim, "sea", "receptors", "input_structure"))
+        b.step((INTERNAL, stim, "receptors", "motor_pool", "processing_structure", updates))
         if respond:
-            schedule.append(
-                [
-                    _token_event(
-                        step + 2,
-                        EXTERNAL_OUT,
-                        [f"resp_{t}"],
-                        "gill_muscle",
-                        "sea",
-                        "output_structure",
-                    )
-                ]
-            )
+            b.step((EXTERNAL_OUT, [f"resp_{t}"], "gill_muscle", "sea", "output_structure"))
         else:
-            schedule.append([])
+            b.step()
 
         phase = LEARNING if learning else TEST
         label = cfg.aplysia_stimuli if learning else "test"
@@ -672,16 +483,12 @@ def aplysia_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
             )
         )
 
-    declarations = [
-        _unary("input_structure", "input", ["skin_0", "skin_1"], ["receptors"]),
-        _unary("processing_structure", "processing", ["syn", "motor"], ["motor_pool"]),
-        _unary("output_structure", "output", ["gill"], ["gill_muscle"]),
-    ]
-    phases = [
-        Phase(LEARNING, 0, 3 * cfg.trials),
-        Phase(TEST, 3 * cfg.trials, 3 * total),
-    ]
-    trace = build_trace(initial, schedule, phases, declarations)
+    trace = b.trace(
+        _two_phases(3 * cfg.trials, 3 * total),
+        (["skin_0", "skin_1"], ["receptors"]),
+        (["syn", "motor"], ["motor_pool"]),
+        (["gill"], ["gill_muscle"]),
+    )
     return ScenarioBundle(
         name="aplysia",
         trace=trace,
@@ -723,31 +530,19 @@ def sandpile_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
     rng = np.random.default_rng(cfg.seed)
     gusts = cfg.trials
 
-    region_side = {"air": "environment", "slope": "system", "base": "system"}
+    b = _TraceBuilder("air", "slope", "base")
     grains = [f"grain_{i}" for i in range(cfg.grain_count)]
     n_slope = ceil(cfg.grain_count / 2)
     n_base = cfg.grain_count // 4
-    placement: dict[str, str] = {}
     for i, g in enumerate(grains):
-        if i < n_slope:
-            placement[g] = "slope"
-        elif i < n_slope + n_base:
-            placement[g] = "base"
-        else:
-            placement[g] = "air"
-    elements = [(g, None) for g in grains] + [("wind_0", None)]
-    membership = dict(placement)
-    membership["wind_0"] = "air"
-
-    initial = make_snapshot(elements, membership, region_side)
-    where = dict(placement)
+        b.add(g, "slope" if i < n_slope else "base" if i < n_slope + n_base else "air")
+    b.add("wind_0", "air")
+    where = dict(b.membership)
 
     def grains_in(region: str) -> list[str]:
         return sorted(g for g in grains if where[g] == region)
 
-    schedule: list[list[TransferEvent]] = []
     for _ in range(gusts):
-        step = len(schedule)
         inside = len(grains_in("slope")) + len(grains_in("base"))
 
         movers = ["wind_0"]
@@ -756,9 +551,7 @@ def sandpile_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
             picked = airborne[int(rng.integers(0, len(airborne)))]
             movers.append(picked)
             where[picked] = "slope"
-        schedule.append(
-            [_token_event(step, EXTERNAL_IN, movers, "air", "slope", "input_structure")]
-        )
+        b.step((EXTERNAL_IN, movers, "air", "slope", "input_structure"))
 
         slope_g, base_g = grains_in("slope"), grains_in("base")
         src, dst = ("slope", "base") if len(slope_g) >= len(base_g) else ("base", "slope")
@@ -767,30 +560,23 @@ def sandpile_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
         shuffled = [pool[i] for i in sorted(rng.choice(len(pool), size=k, replace=False))]
         for g in shuffled:
             where[g] = dst
-        schedule.append(
-            [_token_event(step + 1, INTERNAL, shuffled, src, dst, "processing_structure")]
-        )
+        b.step((INTERNAL, shuffled, src, dst, "processing_structure"))
 
-        out_events = [
-            _token_event(step + 2, EXTERNAL_OUT, ["wind_0"], "slope", "air", "output_structure")
-        ]
+        out_moves = [(EXTERNAL_OUT, ["wind_0"], "slope", "air", "output_structure")]
         base_g = grains_in("base")
         inside = len(grains_in("slope")) + len(base_g)
         if base_g and inside >= 4 and rng.random() < 0.5:
             blown = base_g[int(rng.integers(0, len(base_g)))]
             where[blown] = "air"
-            out_events.append(
-                _token_event(step + 2, EXTERNAL_OUT, [blown], "base", "air", "output_structure")
-            )
-        schedule.append(out_events)
+            out_moves.append((EXTERNAL_OUT, [blown], "base", "air", "output_structure"))
+        b.step(*out_moves)
 
-    declarations = [
-        _unary("input_structure", "input", grains, ["slope"]),
-        _unary("processing_structure", "processing", grains, ["slope", "base"]),
-        _unary("output_structure", "output", grains, ["base"]),
-    ]
-    phases = [Phase("gusts", 0, 3 * gusts)]
-    trace = build_trace(initial, schedule, phases, declarations)
+    trace = b.trace(
+        [Phase("gusts", 0, 3 * gusts)],
+        (grains, ["slope"]),
+        (grains, ["slope", "base"]),
+        (grains, ["base"]),
+    )
     return ScenarioBundle(
         name="sandpile",
         trace=trace,
@@ -808,34 +594,20 @@ def powered_off_scenario(steps: int) -> ScenarioBundle:
     """Full structure declarations, zero events: the idle edge case."""
     if steps < 1:
         raise ConstructionError("steps must be >= 1")
-    region_side = {
-        "mains": "environment",
-        "cpu": "system",
-        "ram": "system",
-        "io_port": "system",
-    }
-    elements = [
-        ("core_0", None),
-        ("dimm_0", None),
-        ("nic_0", None),
-        ("dust_0", None),
-        ("dust_1", None),
-    ]
-    membership = {
-        "core_0": "cpu",
-        "dimm_0": "ram",
-        "nic_0": "io_port",
-        "dust_0": "mains",
-        "dust_1": "mains",
-    }
-    initial = make_snapshot(elements, membership, region_side)
-    declarations = [
-        _unary("input_structure", "input", ["nic_0"], ["io_port"]),
-        _unary("processing_structure", "processing", ["core_0", "dimm_0"], ["cpu", "ram"]),
-        _unary("output_structure", "output", ["nic_0"], ["io_port"]),
-    ]
-    phases = [Phase("idle", 0, steps)]
-    trace = build_trace(initial, [[] for _ in range(steps)], phases, declarations)
+    b = _TraceBuilder("mains", "cpu", "ram", "io_port")
+    b.add("core_0", "cpu")
+    b.add("dimm_0", "ram")
+    b.add("nic_0", "io_port")
+    b.add("dust_0", "mains")
+    b.add("dust_1", "mains")
+    for _ in range(steps):
+        b.step()
+    trace = b.trace(
+        [Phase("idle", 0, steps)],
+        (["nic_0"], ["io_port"]),
+        (["core_0", "dimm_0"], ["cpu", "ram"]),
+        (["nic_0"], ["io_port"]),
+    )
     return ScenarioBundle(
         name="off",
         trace=trace,

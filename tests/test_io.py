@@ -28,6 +28,8 @@ from mindsets import (
     write_trace,
 )
 
+from mindsets.cli import main
+
 from factories import random_trace
 
 SMALL = ScenarioConfig(seed=1, trials=4, test_count=2)
@@ -92,11 +94,44 @@ def test_read_trace_error_catalog(tmp_path):
             good[:1] + ['{"step":0,"events":[{"kind":"external_in"}]}'],
             "line 2: malformed event",
         ),
+        (
+            [good[0].replace('"core_0","cpu",{}', '"core_0","cpu",5')],
+            "line 1: state of 'core_0' is not an object",
+        ),
+        (
+            [good[0].replace('"core_0","cpu",{}', '"core_0","cpu",{"v":[1]}')],
+            "line 1: state of 'core_0' value 'v' is not a scalar",
+        ),
+        (
+            [good[0].replace('["idle",0,2]', '["idle","0",2]')],
+            "line 1: start of phase 'idle' is not an integer",
+        ),
+        (
+            [good[0].replace('"id":"input_structure"', '"id":["input_structure"]')],
+            "line 1: declaration id is not a string",
+        ),
     ]
+    # one well-formed event line, then the same line with one field broken
+    arrival = (
+        '{"step":0,"events":[{"kind":"external_in","from":"mains","to":"io_port",'
+        '"moved":["dust_0"],"via":null,"updates":{}}]}'
+    )
+    for field, broken, message in (
+        ('"updates":{}', '"updates":[1]', "line 2: updates is not an object"),
+        ('"updates":{}', '"updates":{"core_0":5}', "line 2: update of 'core_0' is not an object"),
+        ('"updates":{}', '"updates":{"core_0":{"v":[1]}}', "update of 'core_0' value 'v' is not"),
+        ('"updates":{}', '"updates":{"core_0":{"v":{}}}', "update of 'core_0' value 'v' is not"),
+        ('"from":"mains"', '"from":["mains"]', "line 2: from is not a string"),
+        ('"to":"io_port"', '"to":["io_port"]', "line 2: to is not a string"),
+        ('"moved":["dust_0"]', '"moved":"dust_0"', "line 2: moved is not a list"),
+    ):
+        cases.append(([good[0], arrival.replace(field, broken)], message))
+    assert read_trace(write_lines(tmp_path / "ok.trace", [good[0], arrival, good[2]])).n_steps == 2
     for lines, message in cases:
         path = write_lines(tmp_path / "bad.trace", lines)
         with pytest.raises(TraceFormatError, match=message):
             read_trace(path)
+        assert main(["classify", "--trace", str(path)]) == 3, message
 
     (tmp_path / "void.trace").write_text("")
     with pytest.raises(TraceFormatError, match="empty trace file"):
@@ -205,8 +240,14 @@ def test_explicit_object_maps():
 
 
 def test_mapping_components_shape_errors():
-    with pytest.raises(MappingFormatError, match="component map for 'input'"):
-        mapping_components({"components": {"input": 5}})
+    for pairs in (
+        5,
+        [["skin_0", "in_px_0"]],
+        [[["skin_0"], "in_px_0"]],
+        [[["skin_0"], [["in_px_0"]]]],
+    ):
+        with pytest.raises(MappingFormatError, match="component map for 'input'"):
+            mapping_components({"components": {"input": pairs}})
 
 
 def test_render_classification_report():

@@ -1,5 +1,8 @@
 """Built-in scenario generators: shape, determinism, dynamics, verdicts."""
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 
 from mindsets import (
@@ -10,6 +13,7 @@ from mindsets import (
     classify,
     habituation_extinction_point,
     make_scenario,
+    trace_to_text,
     verify_conservation,
 )
 from mindsets.scenarios import FIVE_STEP, THREE_STEP
@@ -45,6 +49,63 @@ def test_same_seed_same_trace_different_seed_different_trace():
     other = bundle_of("backprop", cfg=ScenarioConfig(seed=8, trials=6, test_count=3))
     assert first.trace == again.trace
     assert first.trace != other.trace
+
+
+# Weak habituating reflex, one class per pattern row, a wide sand pile.
+ODD = replace(QUICK, aplysia_stimuli="weak", class_count=QUICK.pattern_size, grain_count=40)
+
+# sha256 of trace_to_text(bundle.trace) and of repr(bundle.trials); a change
+# to any generator that alters a single trace byte or trial record shows here.
+PINNED_DIGESTS = {
+    ("hebbian", "quick"): (
+        "30931f7a13c691f3af2a30aeb3d37a8c67a292c7de8f0ef3731e7036809095ae",
+        "f7f6b5dad9cf5e78c3250dc6bdde3208d063a95c4edf9eeeeae7adcdce5bdc6c",
+    ),
+    ("backprop", "quick"): (
+        "ae2e7c7f0736305569dee84a8c1458c07e0e902e6ac3a6c9e2245c4adb273de3",
+        "3698b7cc527c2a6d1cf5676e6d921ade7813a1b54c3db2dbd211a10a00191752",
+    ),
+    ("aplysia", "quick"): (
+        "be9620683e0783a11cdb12a89646d4c443773ab9acebe32a35331a6841aea43d",
+        "a00f359a4eb215a93e67c582d7429953a1fac7995a2051c87322f04f26915df2",
+    ),
+    ("sandpile", "quick"): (
+        "ee6dafac3eeff562046f65c75188d46f28bb0775f6fb6a9229d4c492077d0d90",
+        "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    ),
+    ("off", "quick"): (
+        "14d8eeaecc757640381147d05b9ecdc0e2b5a557512994502273a07aa17d9fc4",
+        "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    ),
+    ("hebbian", "odd"): (
+        "b294cafa60b1312871626579d8c85bae55d859e3b1ab6a7413b5c92172ced312",
+        "0c7bc4220f2b7a9d4fedbf5121819b763ef76d1f0176225e7376ded8c01f5156",
+    ),
+    ("backprop", "odd"): (
+        "7b47dd8980181a5765cedb0796e9fb4bf812af64ed213cd25296261a1b0ff618",
+        "6c9e64e9bf0ee710f7aee64b6a0550b74cb1c1419a68bdcd63e54cd7e7298995",
+    ),
+    ("aplysia", "odd"): (
+        "357afde8971eaa35d5ecc66d25b2982615d77ab97634c320418f045f47503804",
+        "aae0649328df592b387eb3afd6cf6d0dd4f37649cde74215817c1237be53e8c8",
+    ),
+    ("sandpile", "odd"): (
+        "cf1dada83adc46916b82fea236363182f6c71b0816ce0561818a0030962ff81f",
+        "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    ),
+    ("off", "odd"): (
+        "14d8eeaecc757640381147d05b9ecdc0e2b5a557512994502273a07aa17d9fc4",
+        "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, cfg", list(PINNED_DIGESTS))
+def test_generator_output_is_pinned(name, cfg):
+    bundle = bundle_of(name, cfg={"quick": QUICK, "odd": ODD}[cfg])
+    trace_digest = hashlib.sha256(trace_to_text(bundle.trace).encode()).hexdigest()
+    trials_digest = hashlib.sha256(repr(bundle.trials).encode()).hexdigest()
+    assert (trace_digest, trials_digest) == PINNED_DIGESTS[name, cfg]
 
 
 def test_hebbian_shape_and_cycles():
