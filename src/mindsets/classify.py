@@ -7,21 +7,26 @@ with strictly opposite count changes caused only by internal movement. The
 verdict over a window is existential: all three conditions witnessed
 somewhere inside it.
 
-``classify`` reads the recorded events. ``brute_force_classify`` is the
-oracle: it rederives boundary crossings from raw snapshots and decides each
-condition by exhaustive enumeration of region subsets, so the two
-implementations share no inference code. Attribution (the declared-role
+``classify`` and the ``witness_*`` helpers read the recorded events only,
+plus the region sides of the first snapshot: a step's count changes are
+its arrivals minus its departures, so a step costs O(moved elements).
+``brute_force_classify`` is the oracle and reads snapshots only: it
+rederives movement from membership diffs, takes count changes from literal
+region counts, and decides each condition by exhaustive enumeration of
+region subsets. The two paths share only the sorting of moves by the sides
+they connect and the canonical witness list. Attribution (the declared-role
 sequence used for cycle tables) is deliberately independent of witnessing:
 it reads ``via_structure`` tags and nothing else.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 
-from .evolution import EXTERNAL_IN, EXTERNAL_OUT, INTERNAL, Trace
-from .universe import ConstructionError, ElementId, RegionId, Snapshot
+from .evolution import EXTERNAL_IN, EXTERNAL_OUT, Trace
+from .universe import ENVIRONMENT, SYSTEM, ConstructionError, ElementId, RegionId, Snapshot
 
 __all__ = [
     "CONDITIONS",
@@ -52,11 +57,6 @@ def check_window(t: Trace, window: tuple[int, int]) -> tuple[int, int]:
     if start < 0 or stop > t.n_steps:
         raise WindowError(f"window {start}:{stop} outside steps 0:{t.n_steps}")
     return start, stop
-
-
-def _check_step(t: Trace, step: int) -> None:
-    if not (0 <= step < t.n_steps):
-        raise WindowError(f"step {step} outside steps 0:{t.n_steps}")
 
 
 @dataclass(frozen=True, eq=True)
@@ -135,28 +135,38 @@ def attribution(t: Trace, window: tuple[int, int]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _region_deltas(before: Snapshot, after: Snapshot) -> dict[RegionId, int]:
-    prev = before.region_counts()
-    curr = after.region_counts()
-    return {r: curr[r] - prev[r] for r in before.region_side}
+def _movement(
+    region_side: dict[RegionId, str], moves: list[tuple[ElementId, RegionId, RegionId]]
+):
+    """Sort one step's (element, from, to) moves by the sides they connect.
+
+    Returns arrivals from the environment, departures to it, internal
+    arrivals and internal departures, each as region -> movers.
+    """
+    movement = tuple(defaultdict(set) for _ in range(4))
+    arrivals_in, departures_out, arrivals_internal, departures_internal = movement
+    for eid, src, dst in moves:
+        sides = (region_side[src], region_side[dst])
+        if sides == (ENVIRONMENT, SYSTEM):
+            arrivals_in[dst].add(eid)
+        elif sides == (SYSTEM, ENVIRONMENT):
+            departures_out[src].add(eid)
+        elif sides == (SYSTEM, SYSTEM):
+            arrivals_internal[dst].add(eid)
+            departures_internal[src].add(eid)
+    return movement
 
 
-def _step_witnesses_from_movement(
-    step: int,
-    snapshot: Snapshot,
-    delta: dict[RegionId, int],
-    arrivals_in: dict[RegionId, set[ElementId]],
-    departures_out: dict[RegionId, set[ElementId]],
-    arrivals_internal: dict[RegionId, set[ElementId]],
-    departures_internal: dict[RegionId, set[ElementId]],
+def _witnesses(
+    step: int, system: list[RegionId], delta: dict[RegionId, int], movement
 ) -> list[Witness]:
     """Build the canonical region-level witness list for one step.
 
-    Shared between the event reader and the oracle; each feeds it movement
-    facts gathered its own way. Order: inputs by grown region, processings
-    by (grown, shrunk), outputs by shrunk region.
+    Shared between the event reader and the oracle; each feeds it the count
+    changes and the `_movement` it gathered its own way. Order: inputs by
+    grown region, processings by (grown, shrunk), outputs by shrunk region.
     """
-    system = sorted(snapshot.system_regions())
+    arrivals_in, departures_out, arrivals_internal, departures_internal = movement
     witnesses: list[Witness] = []
 
     for r in system:
@@ -205,91 +215,69 @@ def _step_witnesses_from_movement(
     return witnesses
 
 
-def _movement_from_events(t: Trace, step: int):
-    arrivals_in: dict[RegionId, set[ElementId]] = {}
-    departures_out: dict[RegionId, set[ElementId]] = {}
-    arrivals_internal: dict[RegionId, set[ElementId]] = {}
-    departures_internal: dict[RegionId, set[ElementId]] = {}
-    for ev in t.events[step]:
-        if ev.kind == EXTERNAL_IN:
-            arrivals_in.setdefault(ev.to_region, set()).update(ev.moved)
-        elif ev.kind == EXTERNAL_OUT:
-            departures_out.setdefault(ev.from_region, set()).update(ev.moved)
-        elif ev.kind == INTERNAL:
-            arrivals_internal.setdefault(ev.to_region, set()).update(ev.moved)
-            departures_internal.setdefault(ev.from_region, set()).update(ev.moved)
-    return arrivals_in, departures_out, arrivals_internal, departures_internal
+def _system(t: Trace) -> list[RegionId]:
+    return sorted(t.snapshots[0].system_regions())
 
 
-def _step_witnesses(t: Trace, step: int) -> list[Witness]:
-    before, after = t.snapshots[step], t.snapshots[step + 1]
-    return _step_witnesses_from_movement(
-        step,
-        before,
-        _region_deltas(before, after),
-        *_movement_from_events(t, step),
-    )
+def _step_witnesses(t: Trace, step: int, system: list[RegionId]) -> list[Witness]:
+    """One step's witnesses from its events alone: each region's count
+    change is its arrivals minus its departures."""
+    moves = [(eid, ev.from_region, ev.to_region) for ev in t.events[step] for eid in ev.moved]
+    delta = Counter(dst for _, _, dst in moves)
+    delta.subtract(src for _, src, _ in moves)
+    return _witnesses(step, system, delta, _movement(t.snapshots[0].region_side, moves))
 
 
-def _first(witnesses: list[Witness], condition: str) -> Witness | None:
-    for w in witnesses:
+def _first(t: Trace, step: int, condition: str) -> Witness | None:
+    if not (0 <= step < t.n_steps):
+        raise WindowError(f"step {step} outside steps 0:{t.n_steps}")
+    for w in _step_witnesses(t, step, _system(t)):
         if w.condition == condition:
             return w
     return None
 
 
 def witness_input(t: Trace, step: int) -> Witness | None:
-    _check_step(t, step)
-    return _first(_step_witnesses(t, step), "input")
+    return _first(t, step, "input")
 
 
 def witness_output(t: Trace, step: int) -> Witness | None:
-    _check_step(t, step)
-    return _first(_step_witnesses(t, step), "output")
+    return _first(t, step, "output")
 
 
 def witness_processing(t: Trace, step: int) -> Witness | None:
-    _check_step(t, step)
-    return _first(_step_witnesses(t, step), "processing")
+    return _first(t, step, "processing")
 
 
-def classify(t: Trace, window: tuple[int, int]) -> IntelligenceReport:
-    """Aggregate witnesses over the window and render the verdict."""
-    start, stop = check_window(t, window)
-    witnesses: list[Witness] = []
-    for i in range(start, stop):
-        witnesses.extend(_step_witnesses(t, i))
-    has = {c: any(w.condition == c for w in witnesses) for c in CONDITIONS}
+def _report(
+    t: Trace, window: tuple[int, int], witnesses: list[Witness], has: dict[str, bool]
+) -> IntelligenceReport:
     return IntelligenceReport(
-        window=(start, stop),
+        window=window,
         witnesses=tuple(witnesses),
         has_input=has["input"],
         has_processing=has["processing"],
         has_output=has["output"],
         verdict=has["input"] and has["processing"] and has["output"],
-        attribution=attribution(t, (start, stop)),
+        attribution=attribution(t, window),
     )
 
 
-def _movement_from_snapshots(before: Snapshot, after: Snapshot):
-    """Rederive boundary and internal movers purely from membership diffs."""
-    arrivals_in: dict[RegionId, set[ElementId]] = {}
-    departures_out: dict[RegionId, set[ElementId]] = {}
-    arrivals_internal: dict[RegionId, set[ElementId]] = {}
-    departures_internal: dict[RegionId, set[ElementId]] = {}
-    for eid, src in before.membership.items():
-        dst = after.membership[eid]
-        if src == dst:
-            continue
-        src_side, dst_side = before.region_side[src], before.region_side[dst]
-        if src_side == "environment" and dst_side == "system":
-            arrivals_in.setdefault(dst, set()).add(eid)
-        elif src_side == "system" and dst_side == "environment":
-            departures_out.setdefault(src, set()).add(eid)
-        elif src_side == "system" and dst_side == "system":
-            arrivals_internal.setdefault(dst, set()).add(eid)
-            departures_internal.setdefault(src, set()).add(eid)
-    return arrivals_in, departures_out, arrivals_internal, departures_internal
+def classify(t: Trace, window: tuple[int, int]) -> IntelligenceReport:
+    """Aggregate witnesses over the window and render the verdict."""
+    start, stop = check_window(t, window)
+    system = _system(t)
+    witnesses: list[Witness] = []
+    for i in range(start, stop):
+        witnesses.extend(_step_witnesses(t, i, system))
+    has = {c: any(w.condition == c for w in witnesses) for c in CONDITIONS}
+    return _report(t, (start, stop), witnesses, has)
+
+
+def _region_deltas(before: Snapshot, after: Snapshot) -> dict[RegionId, int]:
+    prev = before.region_counts()
+    curr = after.region_counts()
+    return {r: curr[r] - prev[r] for r in before.region_side}
 
 
 def _subset_deltas(regions, delta):
@@ -321,13 +309,15 @@ def _exists_subset_pair_processing(system, delta, boundary_touched) -> bool:
 def brute_force_classify(t: Trace, window: tuple[int, int]) -> IntelligenceReport:
     """Decide the conditions by subset enumeration over raw snapshots.
 
-    Existence of each condition is settled by enumerating region subsets
-    (pairs of disjoint subsets for processing), taking the cardinality
-    definitions literally. The witness list is the canonical region-level
-    one so that, on traces whose steps keep event footprints disjoint, the
-    whole report equals classify's. A disagreement between the subset
-    verdict and the region-level witnesses is surfaced, not hidden: the
-    booleans come from the enumeration, the witness list from the regions.
+    Movement comes from membership diffs and count changes from literal
+    region counts. Existence of each condition is settled by enumerating
+    region subsets (pairs of disjoint subsets for processing), taking the
+    cardinality definitions literally. The witness list is the canonical
+    region-level one so that, on traces whose steps keep event footprints
+    disjoint, the whole report equals classify's. A disagreement between
+    the subset verdict and the region-level witnesses is surfaced, not
+    hidden: the booleans come from the enumeration, the witness list from
+    the regions.
     """
     start, stop = check_window(t, window)
     if len(t.snapshots[0].membership) > 12 or stop - start > 8:
@@ -336,17 +326,20 @@ def brute_force_classify(t: Trace, window: tuple[int, int]) -> IntelligenceRepor
             "12 elements and a window of at most 8 steps"
         )
 
+    system = _system(t)
     witnesses: list[Witness] = []
     has = {c: False for c in CONDITIONS}
     for i in range(start, stop):
         before, after = t.snapshots[i], t.snapshots[i + 1]
-        movement = _movement_from_snapshots(before, after)
+        moves = [
+            (eid, src, after.membership[eid])
+            for eid, src in before.membership.items()
+            if after.membership[eid] != src
+        ]
+        movement = _movement(before.region_side, moves)
         arrivals_in, departures_out, _, _ = movement
         delta = _region_deltas(before, after)
-        witnesses.extend(
-            _step_witnesses_from_movement(i, before, delta, *movement)
-        )
-        system = sorted(before.system_regions())
+        witnesses.extend(_witnesses(i, system, delta, movement))
         neg_delta = {r: -d for r, d in delta.items()}
         if not has["input"]:
             has["input"] = _exists_subset_input(system, delta, arrivals_in)
@@ -358,15 +351,7 @@ def brute_force_classify(t: Trace, window: tuple[int, int]) -> IntelligenceRepor
                 system, delta, boundary_touched
             )
 
-    return IntelligenceReport(
-        window=(start, stop),
-        witnesses=tuple(witnesses),
-        has_input=has["input"],
-        has_processing=has["processing"],
-        has_output=has["output"],
-        verdict=has["input"] and has["processing"] and has["output"],
-        attribution=attribution(t, (start, stop)),
-    )
+    return _report(t, (start, stop), witnesses, has)
 
 
 def activity(t: Trace, window: tuple[int, int], mode: str = "step") -> ActivityScore:

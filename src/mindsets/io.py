@@ -136,6 +136,17 @@ def _integer(value, line_no: int, what: str) -> int:
     return value
 
 
+def _list(value, line_no: int, what: str) -> list:
+    if not isinstance(value, list):
+        raise TraceFormatError(f"line {line_no}: {what} is not a list")
+    return value
+
+
+def _texts(value, line_no: int, what: str) -> list[str]:
+    """A list of strings; a bare string would split into its characters."""
+    return [_text(v, line_no, f"{what} entry") for v in _list(value, line_no, what)]
+
+
 def _object(value, line_no: int, what: str) -> dict:
     if not isinstance(value, dict):
         raise TraceFormatError(f"line {line_no}: {what} is not an object")
@@ -153,9 +164,7 @@ def _state(value, line_no: int, what: str) -> dict:
 def _event(e, step: int, line_no: int) -> TransferEvent:
     e = _object(e, line_no, "event")
     kind = _text(e["kind"], line_no, "kind")
-    moved = e["moved"]
-    if not isinstance(moved, list):
-        raise TraceFormatError(f"line {line_no}: moved is not a list")
+    moved = _texts(e["moved"], line_no, "moved")
     from_region = _text(e["from"], line_no, "from")
     to_region = _text(e["to"], line_no, "to")
     via = e["via"]
@@ -189,15 +198,18 @@ def read_trace(source: str | Path) -> Trace:
         membership = {
             eid: _text(region, 1, f"region of {eid!r}") for eid, region, _ in header["elements"]
         }
-        region_side = {r: side for r, side in header["regions"]}
+        region_side = {_text(r, 1, "region id"): side for r, side in header["regions"]}
         declarations = [
             StructureRelation(
                 id=_text(d["id"], 1, "declaration id"),
                 role=d["role"],
-                arity=d["arity"],
-                tuples=frozenset(tuple(t) for t in d["tuples"]),
-                scope=frozenset(d["scope"]),
-                factors=tuple(d["factors"]),
+                arity=_integer(d["arity"], 1, f"arity of {d['id']!r}"),
+                tuples=frozenset(
+                    tuple(_texts(t, 1, f"tuple of {d['id']!r}"))
+                    for t in _list(d["tuples"], 1, f"tuples of {d['id']!r}")
+                ),
+                scope=frozenset(_texts(d["scope"], 1, f"scope of {d['id']!r}")),
+                factors=tuple(_texts(d["factors"], 1, f"factors of {d['id']!r}")),
             )
             for d in header["declarations"]
         ]
@@ -218,7 +230,7 @@ def read_trace(source: str | Path) -> Trace:
     for idx, line in enumerate(lines[1:]):
         line_no = idx + 2
         obj = _parse_json(line, line_no)
-        if obj.get("step") != idx:
+        if _integer(obj.get("step"), line_no, "step") != idx:
             raise TraceFormatError(f"line {line_no}: expected step {idx}")
         try:
             schedule.append([_event(e, idx, line_no) for e in obj["events"]])
@@ -299,10 +311,14 @@ def mapping_object_map(data: dict, source_len: int) -> tuple[int, ...]:
     om = data["object_map"]
     if om == "identity":
         return tuple(range(source_len))
-    try:
-        pairs = {int(i): int(j) for i, j in om}
-    except (TypeError, ValueError) as exc:
-        raise MappingFormatError("object_map pairs must be [int, int]") from exc
+    pairs: dict[int, int] = {}
+    for pair in om:
+        # type(v) is int refuses JSON's true and false, which Python reads as ints
+        if not (isinstance(pair, list) and len(pair) == 2 and all(type(v) is int for v in pair)):
+            raise MappingFormatError("object_map pairs must be [int, int]")
+        if pair[0] in pairs:
+            raise MappingFormatError(f"object_map lists source object {pair[0]} twice")
+        pairs[pair[0]] = pair[1]
     missing = [i for i in range(source_len) if i not in pairs]
     if missing:
         raise MappingFormatError(f"object_map misses source objects {missing}")

@@ -19,8 +19,8 @@ bundles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import ceil
+from dataclasses import dataclass, fields
+from math import ceil, isfinite
 
 import numpy as np
 
@@ -90,6 +90,11 @@ class ScenarioConfig:
     grain_count: int = 12
 
     def validate(self) -> None:
+        # each bound below is false for NaN, so non-finite floats go first
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not isfinite(value):
+                raise ConstructionError(f"{f.name} must be finite")
         if self.pattern_size < 1:
             raise ConstructionError("pattern_size must be >= 1")
         if not (1 <= self.class_count <= self.pattern_size):

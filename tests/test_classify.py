@@ -1,6 +1,8 @@
 """Witness extraction, qualification, attribution, and the activity metric."""
 
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +11,7 @@ from mindsets import (
     EXTERNAL_OUT,
     INTERNAL,
     ConstructionError,
+    ScenarioConfig,
     StructureRelation,
     TransferEvent,
     WindowError,
@@ -17,6 +20,7 @@ from mindsets import (
     brute_force_classify,
     build_trace,
     classify,
+    make_scenario,
     make_snapshot,
     witness_input,
     witness_output,
@@ -263,6 +267,49 @@ def test_oracle_agreement_on_disciplined_random_traces():
         for condition in ("input", "processing", "output"):
             assert a.steps_with(condition) == b.steps_with(condition)
         assert a.witnesses == b.witnesses
+
+
+def test_fast_path_reads_events_and_the_first_snapshot_only():
+    t = make_scenario("hebbian", ScenarioConfig(trials=40, test_count=10)).trace
+    events_only = replace(t, snapshots=(t.snapshots[0],) + (None,) * t.n_steps)
+    full = (0, t.n_steps)
+    assert classify(events_only, full) == classify(t, full)
+    for mode in ("step", "element"):
+        assert activity(events_only, full, mode) == activity(t, full, mode)
+    for step in range(t.n_steps):
+        for witness in (witness_input, witness_processing, witness_output):
+            assert witness(events_only, step) == witness(t, step)
+
+
+@pytest.mark.parametrize(
+    "name, cfg, steps",
+    [
+        ("hebbian", ScenarioConfig(trials=200, test_count=50), 0),
+        ("backprop", ScenarioConfig(trials=200, test_count=50), 0),
+        ("sandpile", ScenarioConfig(trials=400), 0),
+        ("aplysia", ScenarioConfig(trials=200), 0),
+        ("off", ScenarioConfig(), 500),
+    ],
+)
+def test_event_moves_account_for_every_count_change(name, cfg, steps):
+    # the fast path takes each region's count change from its step's moves;
+    # the oracle's size guard stops far below these sizes
+    t = make_scenario(name, cfg, steps=steps).trace
+    assert t.n_steps >= 400
+    for i, events in enumerate(t.events):
+        before, after = t.snapshots[i], t.snapshots[i + 1]
+        moves = {(e, ev.from_region, ev.to_region) for ev in events for e in ev.moved}
+        changed = {
+            (e, src, after.membership[e])
+            for e, src in before.membership.items()
+            if after.membership[e] != src
+        }
+        assert moves == changed, f"step {i}"
+        delta = Counter(dst for _, _, dst in moves)
+        delta.subtract(src for _, src, _ in moves)
+        counts = before.region_counts(), after.region_counts()
+        for r in before.region_side:
+            assert delta[r] == counts[1][r] - counts[0][r], f"step {i}, region {r}"
 
 
 def quiet_trace(steps):

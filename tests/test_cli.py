@@ -1,12 +1,15 @@
 """Command-line behavior: subcommands, windows, exit codes."""
 
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mindsets
 from mindsets import default_mimicry_mapping, write_trace
 from mindsets.cli import main
 
@@ -85,6 +88,12 @@ def test_bad_inputs_exit_three(small_traces, tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", "--scenario", "off", "--config", str(cfg),
                            "--out", str(tmp_path / "x.trace"))
     assert code == 3 and "unknown config key" in err
+    # non-finite floats would pass every bound written as x <= 0
+    for line in ("learning_rate = nan", "threshold = inf", "initial_strength = nan"):
+        cfg.write_text(line + "\n")
+        code, _, err = run_cli(capsys, "run", "--scenario", "hebbian", "--config", str(cfg),
+                               "--out", str(tmp_path / "x.trace"))
+        assert code == 3 and f"{line.split()[0]} must be finite" in err, line
 
     # bytes that are not UTF-8 name the file and the offset of the first bad byte
     latin1 = tmp_path / "latin1.txt"
@@ -176,16 +185,21 @@ def test_report_renders_phases(small_traces, capsys):
 
 
 def test_console_entry_point_round_trips(tmp_path):
+    # the child imports the same package as this test, whether it was found
+    # through PYTHONPATH or pytest's pythonpath setting
+    package_root = str(Path(mindsets.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     out = tmp_path / "cli.trace"
     first = subprocess.run(
         [sys.executable, "-m", "mindsets.cli", "run", "--scenario", "off",
          "--steps", "5", "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert first.returncode == 0
     second = subprocess.run(
         [sys.executable, "-m", "mindsets.cli", "classify", "--trace", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert second.returncode == 1
     assert "verdict: false" in second.stdout

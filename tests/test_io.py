@@ -110,7 +110,25 @@ def test_read_trace_error_catalog(tmp_path):
             [good[0].replace('"id":"input_structure"', '"id":["input_structure"]')],
             "line 1: declaration id is not a string",
         ),
+        # region ids of other types would reach classify's sorting of regions
+        ([good[0].replace('"regions":[', '"regions":[[7,"system"],')], "line 1: region id"),
+        ([good[0].replace('"regions":[', '"regions":[[null,"system"],')], "line 1: region id"),
+        (good[:2] + [good[2].replace('"step":1', '"step":true')], "line 3: step is not an"),
+        (good[:2] + [good[2].replace('"step":1', '"step":1.0')], "line 3: step is not an"),
     ]
+    # the input declaration with one field of the wrong type
+    for field, broken, message in (
+        ('"arity":1', '"arity":true', "arity of 'input_structure' is not an integer"),
+        ('"arity":1', '"arity":1.0', "arity of 'input_structure' is not an integer"),
+        ('"scope":["io_port"]', '"scope":"io_port"', "scope of 'input_structure' is not a list"),
+        ('"scope":["io_port"]', '"scope":[["io_port"]]', "scope of 'input_structure' entry is"),
+        ('"factors":["input_structure.0"]', '"factors":"f"', "factors of 'input_structure' is"),
+        ('"tuples":[["nic_0"]]', '"tuples":["n"]', "tuple of 'input_structure' is not a list"),
+        ('"tuples":[["nic_0"]]', '"tuples":"n"', "tuples of 'input_structure' is not a list"),
+        ('"tuples":[["nic_0"]]', '"tuples":[[0]]', "tuple of 'input_structure' entry is not"),
+    ):
+        assert field in good[0], field
+        cases.append(([good[0].replace(field, broken, 1)] + good[1:], "line 1: .*" + message))
     # one well-formed event line, then the same line with one field broken
     arrival = (
         '{"step":0,"events":[{"kind":"external_in","from":"mains","to":"io_port",'
@@ -124,6 +142,7 @@ def test_read_trace_error_catalog(tmp_path):
         ('"from":"mains"', '"from":["mains"]', "line 2: from is not a string"),
         ('"to":"io_port"', '"to":["io_port"]', "line 2: to is not a string"),
         ('"moved":["dust_0"]', '"moved":"dust_0"', "line 2: moved is not a list"),
+        ('"moved":["dust_0"]', '"moved":[["dust_0"]]', "line 2: moved entry is not a string"),
     ):
         cases.append(([good[0], arrival.replace(field, broken)], message))
     assert read_trace(write_lines(tmp_path / "ok.trace", [good[0], arrival, good[2]])).n_steps == 2
@@ -235,8 +254,19 @@ def test_explicit_object_maps():
     assert mapping_object_map(data, 3) == (0, 2, 4)
     with pytest.raises(MappingFormatError, match="misses source objects"):
         mapping_object_map(data, 4)
-    with pytest.raises(MappingFormatError, match="int, int"):
-        mapping_object_map({**data, "object_map": [["a", "b"]]}, 1)
+    for pairs in (
+        [["a", "b"]],
+        [[0, 0], [1, 0.9], [2, True]],
+        [[0, 0], [1, "1"], [2, 2]],
+        [[0, 0], [1, 1, 1], [2, 2]],
+        [[0, 0], [1], [2, 2]],
+        [[False, 0], [1, 1], [2, 2]],
+        [7, [1, 1], [2, 2]],
+    ):
+        with pytest.raises(MappingFormatError, match="int, int"):
+            mapping_object_map({**data, "object_map": pairs}, 3)
+    with pytest.raises(MappingFormatError, match="source object 1 twice"):
+        mapping_object_map({**data, "object_map": [[0, 0], [1, 1], [1, 2], [2, 2]]}, 3)
 
 
 def test_mapping_components_shape_errors():

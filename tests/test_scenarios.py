@@ -1,7 +1,7 @@
 """Built-in scenario generators: shape, determinism, dynamics, verdicts."""
 
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -260,6 +260,11 @@ def test_config_validation_catches_bad_knobs():
         ScenarioConfig(aplysia_stimuli="medium"),
         ScenarioConfig(grain_count=1),
     ]
+    float_fields = [f.name for f in fields(ScenarioConfig) if isinstance(f.default, float)]
+    assert len(float_fields) == 6
+    for name in float_fields:
+        for value in (float("nan"), float("inf"), float("-inf")):
+            bad.append(replace(ScenarioConfig(), **{name: value}))
     for cfg in bad:
         with pytest.raises(ConstructionError):
             cfg.validate()
