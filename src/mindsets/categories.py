@@ -9,8 +9,10 @@ intelligence category is its time functor's own object and arrow tables,
 so `IntelligenceCategory` is another name for `TimeFunctor`. Mimicry
 functors relate two such intelligence categories through per-role tuple
 maps; validation demands totality on the source carriers and commutation
-with time evolution. All law checking is extensional, so every report can
-name the object or triple that broke.
+with time evolution. A mimicry functor applied after its source's time
+functor is itself a time functor, its pullback, so a mimicry functor's laws
+are checked as its pullback's. All law checking is extensional, so every
+report can name the object, arrow or triple that broke.
 """
 
 from __future__ import annotations
@@ -61,6 +63,11 @@ def _by_role(role: str, per_role: tuple):
 def _compose_maps(f: dict[Tuple_, Tuple_], g: dict[Tuple_, Tuple_]) -> dict:
     """`f` then `g` as partial maps: defined where both steps are."""
     return {x: g[y] for x, y in f.items() if y in g}
+
+
+def _arrows(count: int):
+    """The arrows (i, j), i <= j, among `count` steps, in sorted order."""
+    return ((i, j) for i in range(count) for j in range(i, count))
 
 
 @dataclass(frozen=True, eq=True)
@@ -305,6 +312,25 @@ class MimicryFunctor:
         return self.target.morphism(self.object_map[i], self.object_map[j])
 
 
+def _pullback(g: MimicryFunctor) -> TimeFunctor:
+    """The time functor over g's source steps that sends step i to target
+    object o(i) and arrow (i, j) to the target's arrow (o(i), o(j)).
+
+    Arrows the target lacks are left out, so the law sweep reports them.
+    """
+    o = g.object_map
+    tgt_table = g.target.table()
+    return TimeFunctor(
+        n=len(o) - 1,
+        objects=tuple(g.target.objects[x] for x in o),
+        morphism_table=tuple(
+            ((i, j), tgt_table[(o[i], o[j])])
+            for i, j in _arrows(len(o))
+            if (o[i], o[j]) in tgt_table
+        ),
+    )
+
+
 def mimicry_functor(
     source: IntelligenceCategory,
     target: IntelligenceCategory,
@@ -315,10 +341,11 @@ def mimicry_functor(
 
     Checks, in order: all three component maps present; object map total,
     in range, and monotone; components total on every source carrier and
-    landing in the mapped object's carrier of the same role; commutation
-    with time evolution (a tuple that survives from i to j in the source
-    must have an image surviving from o(i) to o(j) in the target, and the
-    two paths around the square must agree).
+    landing in the mapped object's carrier of the same role; every source
+    arrow (i, j) present, with the target's (o(i), o(j)) present too;
+    commutation with time evolution (a tuple that survives from i to j in
+    the source must have an image surviving from o(i) to o(j) in the
+    target, and the two paths around the square must agree).
     """
     for role in FUNCTOR_ROLES:
         if role not in components:
@@ -358,13 +385,14 @@ def mimicry_functor(
 
     src_table = source.table()
     tgt_table = target.table()
-    for (i, j), src_m in sorted(src_table.items()):
-        key = (o[i], o[j])
-        if key not in tgt_table:
+    for i, j in _arrows(len(o)):
+        if (i, j) not in src_table:
+            raise MimicryError("source category lacks an arrow", counterexample=(i, j))
+        if (o[i], o[j]) not in tgt_table:
             raise MimicryError(
                 "target category lacks the mapped arrow", counterexample=(i, j)
             )
-        tgt_m = tgt_table[key]
+        src_m, tgt_m = src_table[(i, j)], tgt_table[(o[i], o[j])]
         for role in FUNCTOR_ROLES:
             comp = components[role]
             tgt_map = tgt_m.component(role)
@@ -406,17 +434,7 @@ def compose_functors(first, second):
                 "functor composition mismatch: first functor's image is not "
                 "the second functor's source category"
             )
-        o = second.object_map
-        objects = tuple(second.target.objects[o[i]] for i in range(first.n + 1))
-        tgt_table = second.target.table()
-        table = {
-            (i, j): tgt_table[(o[i], o[j])]
-            for i in range(first.n + 1)
-            for j in range(i, first.n + 1)
-        }
-        return TimeFunctor(
-            n=first.n, objects=objects, morphism_table=tuple(sorted(table.items()))
-        )
+        return _pullback(second)
     if isinstance(first, MimicryFunctor) and isinstance(second, MimicryFunctor):
         if first.target != second.source:
             raise ConstructionError(
@@ -452,106 +470,45 @@ class LawReport:
         return not self.failures
 
 
-def _check_time_functor_laws(f: TimeFunctor) -> LawReport:
+def check_functor_laws(f) -> LawReport:
+    """Extensional identity and composition sweep; gaps are failures too.
+
+    A mimicry functor is checked as its pullback, the time functor it
+    induces over its source's steps.
+    """
+    if isinstance(f, MimicryFunctor):
+        f = _pullback(f)
+    if not isinstance(f, TimeFunctor):
+        raise ConstructionError("law check expects a time or mimicry functor")
     table = f.table()
     failures: list[LawFailure] = []
-    n = f.n
-
-    for i in range(n + 1):
-        key = (i, i)
-        if key not in table:
-            failures.append(LawFailure("gap", key, "missing identity entry"))
-            continue
-        if table[key] != identity_morphism(f.objects[i]):
+    for i, j in _arrows(f.n + 1):
+        m = table.get((i, j))
+        if m is None:
+            failures.append(LawFailure("gap", (i, j), "missing morphism entry"))
+        elif m.source != f.objects[i] or m.target != f.objects[j]:
+            failures.append(LawFailure("gap", (i, j), "table entry has wrong endpoints"))
+        elif i == j and m != identity_morphism(f.objects[i]):
             failures.append(
-                LawFailure("identity", (i,), f"table entry at {key} is not the identity")
+                LawFailure("identity", (i,), f"table entry at {(i, j)} is not the identity")
             )
 
     triples = 0
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            if (i, j) not in table:
-                failures.append(LawFailure("gap", (i, j), "missing morphism entry"))
+    for i, j in _arrows(f.n + 1):
+        if (i, j) not in table:
+            continue
+        for k in range(j, f.n + 1):
+            if (j, k) not in table or (i, k) not in table:
                 continue
-            m = table[(i, j)]
-            if m.source != f.objects[i] or m.target != f.objects[j]:
+            triples += 1
+            if compose_morphisms(table[(i, j)], table[(j, k)]) != table[(i, k)]:
                 failures.append(
-                    LawFailure("gap", (i, j), "table entry has wrong endpoints")
+                    LawFailure(
+                        "composition",
+                        (i, j, k),
+                        "composite of the two legs differs from the table entry",
+                    )
                 )
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            if (i, j) not in table:
-                continue
-            for k in range(j, n + 1):
-                if (j, k) not in table or (i, k) not in table:
-                    continue
-                triples += 1
-                expected = compose_morphisms(table[(i, j)], table[(j, k)])
-                if expected != table[(i, k)]:
-                    failures.append(
-                        LawFailure(
-                            "composition",
-                            (i, j, k),
-                            "composite of the two legs differs from the table entry",
-                        )
-                    )
     return LawReport(
-        objects_checked=n + 1, triples_checked=triples, failures=tuple(failures)
+        objects_checked=f.n + 1, triples_checked=triples, failures=tuple(failures)
     )
-
-
-def _check_mimicry_laws(g: MimicryFunctor) -> LawReport:
-    src_table = g.source.table()
-    tgt_table = g.target.table()
-    o = g.object_map
-    failures: list[LawFailure] = []
-
-    for i in range(len(g.source.objects)):
-        key = (o[i], o[i])
-        if key not in tgt_table:
-            failures.append(LawFailure("gap", (i,), "target lacks mapped identity"))
-            continue
-        if tgt_table[key] != identity_morphism(g.target.objects[o[i]]):
-            failures.append(
-                LawFailure("identity", (i,), "mapped identity is not an identity")
-            )
-
-    triples = 0
-    indices = range(len(g.source.objects))
-    for i in indices:
-        for j in range(i, len(g.source.objects)):
-            if (i, j) not in src_table:
-                failures.append(LawFailure("gap", (i, j), "missing source morphism"))
-    for i in indices:
-        for j in range(i, len(g.source.objects)):
-            for k in range(j, len(g.source.objects)):
-                keys = [(o[i], o[j]), (o[j], o[k]), (o[i], o[k])]
-                if any(key not in tgt_table for key in keys):
-                    failures.append(
-                        LawFailure("gap", (i, j, k), "target table gap on mapped triple")
-                    )
-                    continue
-                triples += 1
-                expected = compose_morphisms(tgt_table[keys[0]], tgt_table[keys[1]])
-                if expected != tgt_table[keys[2]]:
-                    failures.append(
-                        LawFailure(
-                            "composition",
-                            (i, j, k),
-                            "mapped composite differs from mapped arrow",
-                        )
-                    )
-    return LawReport(
-        objects_checked=len(g.source.objects),
-        triples_checked=triples,
-        failures=tuple(failures),
-    )
-
-
-def check_functor_laws(f) -> LawReport:
-    """Extensional identity and composition sweep; gaps are failures too."""
-    if isinstance(f, TimeFunctor):
-        return _check_time_functor_laws(f)
-    if isinstance(f, MimicryFunctor):
-        return _check_mimicry_laws(f)
-    raise ConstructionError("law check expects a time or mimicry functor")

@@ -17,9 +17,9 @@ from pathlib import Path
 
 from .classify import ActivityScore, IntelligenceReport, attribution
 from .categories import LawReport
-from .evolution import Phase, Trace, TransferEvent, build_trace
+from .evolution import Phase, StepError, Trace, TransferEvent, build_trace
 from .scenarios import ScenarioBundle, ScenarioConfig
-from .universe import ConstructionError, StructureRelation, make_snapshot
+from .universe import ConstructionError, Snapshot, StructureRelation, make_snapshot
 
 __all__ = [
     "FORMAT_NAME",
@@ -142,6 +142,13 @@ def _list(value, line_no: int, what: str) -> list:
     return value
 
 
+def _row(value, size: int, line_no: int, what: str) -> list:
+    """A list of `size` fields; a string of that length would unpack too."""
+    if not isinstance(value, list) or len(value) != size:
+        raise TraceFormatError(f"line {line_no}: {what} is not a list of {size}")
+    return value
+
+
 def _texts(value, line_no: int, what: str) -> list[str]:
     """A list of strings; a bare string would split into its characters."""
     return [_text(v, line_no, f"{what} entry") for v in _list(value, line_no, what)]
@@ -176,6 +183,47 @@ def _event(e, step: int, line_no: int) -> TransferEvent:
     return TransferEvent.make(step, kind, moved, from_region, to_region, via, updates)
 
 
+def _header(header: dict) -> tuple[Snapshot, list[StructureRelation], list[Phase]]:
+    """The initial snapshot, declarations and phases that line 1 describes."""
+    elements, membership, region_side = [], {}, {}
+    for entry in _list(header["elements"], 1, "elements"):
+        eid, region, state = _row(entry, 3, 1, "element entry")
+        eid = _text(eid, 1, "element id")
+        elements.append((eid, _state(state, 1, f"state of {eid!r}")))
+        membership[eid] = _text(region, 1, f"region of {eid!r}")
+    for entry in _list(header["regions"], 1, "regions"):
+        region, side = _row(entry, 2, 1, "region entry")
+        region_side[_text(region, 1, "region id")] = side
+    declarations = []
+    for d in _list(header["declarations"], 1, "declarations"):
+        did = _text(_object(d, 1, "declaration")["id"], 1, "declaration id")
+        declarations.append(
+            StructureRelation(
+                id=did,
+                role=d["role"],
+                arity=_integer(d["arity"], 1, f"arity of {did!r}"),
+                tuples=frozenset(
+                    tuple(_texts(t, 1, f"tuple of {did!r}"))
+                    for t in _list(d["tuples"], 1, f"tuples of {did!r}")
+                ),
+                scope=frozenset(_texts(d["scope"], 1, f"scope of {did!r}")),
+                factors=tuple(_texts(d["factors"], 1, f"factors of {did!r}")),
+            )
+        )
+    phases = []
+    for entry in _list(header["phases"], 1, "phases"):
+        label, start, stop = _row(entry, 3, 1, "phase entry")
+        label = _text(label, 1, "phase label")
+        phases.append(
+            Phase(
+                label,
+                _integer(start, 1, f"start of phase {label!r}"),
+                _integer(stop, 1, f"stop of phase {label!r}"),
+            )
+        )
+    return make_snapshot(elements, membership, region_side), declarations, phases
+
+
 def read_trace(source: str | Path) -> Trace:
     """Parse and replay a trace file; failures name the line or step."""
     lines = _read_text(source, TraceFormatError).splitlines()
@@ -189,42 +237,14 @@ def read_trace(source: str | Path) -> Trace:
         raise TraceFormatError(
             f"line 1: unsupported format version {header.get('version')!r}"
         )
-
     try:
-        elements = [
-            (_text(eid, 1, "element id"), _state(state, 1, f"state of {eid!r}"))
-            for eid, _, state in header["elements"]
-        ]
-        membership = {
-            eid: _text(region, 1, f"region of {eid!r}") for eid, region, _ in header["elements"]
-        }
-        region_side = {_text(r, 1, "region id"): side for r, side in header["regions"]}
-        declarations = [
-            StructureRelation(
-                id=_text(d["id"], 1, "declaration id"),
-                role=d["role"],
-                arity=_integer(d["arity"], 1, f"arity of {d['id']!r}"),
-                tuples=frozenset(
-                    tuple(_texts(t, 1, f"tuple of {d['id']!r}"))
-                    for t in _list(d["tuples"], 1, f"tuples of {d['id']!r}")
-                ),
-                scope=frozenset(_texts(d["scope"], 1, f"scope of {d['id']!r}")),
-                factors=tuple(_texts(d["factors"], 1, f"factors of {d['id']!r}")),
-            )
-            for d in header["declarations"]
-        ]
-        phases = [
-            Phase(
-                _text(label, 1, "phase label"),
-                _integer(start, 1, f"start of phase {label!r}"),
-                _integer(stop, 1, f"stop of phase {label!r}"),
-            )
-            for label, start, stop in header["phases"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceFormatError(f"line 1: malformed header ({exc})") from exc
-
-    initial = make_snapshot(elements, membership, region_side)
+        initial, declarations, phases = _header(header)
+    except KeyError as exc:
+        raise TraceFormatError(f"line 1: malformed header (missing {exc})") from None
+    except TraceFormatError:
+        raise
+    except ConstructionError as exc:
+        raise TraceFormatError(f"line 1: {exc}") from None
 
     schedule: list[list[TransferEvent]] = []
     for idx, line in enumerate(lines[1:]):
@@ -232,12 +252,19 @@ def read_trace(source: str | Path) -> Trace:
         obj = _parse_json(line, line_no)
         if _integer(obj.get("step"), line_no, "step") != idx:
             raise TraceFormatError(f"line {line_no}: expected step {idx}")
+        events = _list(obj.get("events"), line_no, "events")
         try:
-            schedule.append([_event(e, idx, line_no) for e in obj["events"]])
-        except (KeyError, TypeError) as exc:
-            raise TraceFormatError(f"line {line_no}: malformed event ({exc})") from exc
+            schedule.append([_event(e, idx, line_no) for e in events])
+        except KeyError as exc:
+            raise TraceFormatError(f"line {line_no}: malformed event (missing {exc})") from None
 
-    return build_trace(initial, schedule, phases, declarations)
+    try:
+        return build_trace(initial, schedule, phases, declarations)
+    except StepError:
+        raise
+    except ConstructionError as exc:
+        # outside its steps, build_trace checks the header's declarations and phases
+        raise TraceFormatError(f"line 1: {exc}") from None
 
 
 def parse_window(text: str) -> tuple[int, int]:

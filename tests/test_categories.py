@@ -1,5 +1,7 @@
 """Time category, trace-induced functors, law checking, and mimicry."""
 
+from dataclasses import replace
+
 import pytest
 
 from mindsets import (
@@ -8,6 +10,7 @@ from mindsets import (
     ConstructionError,
     IntelligenceMorphism,
     MimicryError,
+    MimicryFunctor,
     ScenarioConfig,
     StructureRelation,
     TimeMorphism,
@@ -52,17 +55,18 @@ def declarations_over(elements, scope=("core", "sink")):
     ]
 
 
-def out_and_back(wanderer, bystander, extra_steps=0):
-    """`wanderer` leaves at step 0 and returns at step 1; carriers blink."""
+def out_and_back(wanderer, bystander, extra_steps=0, trips=1):
+    """`wanderer` leaves at step 0 and returns at step 1, `trips` times over;
+    carriers blink."""
     s0 = make_snapshot(
         [(wanderer, None), (bystander, None)],
         {wanderer: "core", bystander: "core"},
         dict(REGION_SIDE),
     )
-    schedule = [
-        [ev(0, EXTERNAL_OUT, (wanderer,), "core", "lab")],
-        [ev(1, EXTERNAL_IN, (wanderer,), "lab", "core")],
-    ]
+    schedule = []
+    for trip in range(trips):
+        schedule.append([ev(2 * trip, EXTERNAL_OUT, (wanderer,), "core", "lab")])
+        schedule.append([ev(2 * trip + 1, EXTERNAL_IN, (wanderer,), "lab", "core")])
     schedule.extend([] for _ in range(extra_steps))
     return build_trace(
         s0, schedule, declarations=declarations_over((wanderer, bystander))
@@ -210,33 +214,57 @@ def test_law_check_passes_on_trace_functors():
     assert report.triples_checked == 35  # C(5+2, 3) ordered i<=j<=k triples
 
 
+def with_corrupt_span(f):
+    """`f` whose arrow (0, 2) forgets ("b",) -> ("b",)."""
+    span = replace(f.morphism(0, 2), input_map=())
+    table = tuple((k, span if k == (0, 2) else m) for k, m in f.morphism_table)
+    return type(f)(n=f.n, objects=f.objects, morphism_table=table)
+
+
 def test_law_check_pinpoints_a_corrupted_entry():
     f = functor_from_trace(out_and_back("a", "b", extra_steps=1))
-    true_span = f.morphism(0, 2)
-    corrupt = type(true_span)(
-        source=true_span.source,
-        target=true_span.target,
-        input_map=(),  # forgets ("b",) -> ("b",)
-        processing_map=true_span.processing_map,
-        output_map=true_span.output_map,
-    )
-    table = [(k, corrupt if k == (0, 2) else m) for k, m in f.morphism_table]
-    broken = type(f)(n=f.n, objects=f.objects, morphism_table=tuple(table))
-    report = check_functor_laws(broken)
+    report = check_functor_laws(with_corrupt_span(f))
     assert not report.passed
     assert report.failures[0].law == "composition"
     assert report.failures[0].at == (0, 1, 2)
 
 
+def without(f, *arrows):
+    """`f` with the table entries of `arrows` removed."""
+    table = tuple((k, m) for k, m in f.morphism_table if k not in arrows)
+    return type(f)(n=f.n, objects=f.objects, morphism_table=table)
+
+
+def law_failures(report):
+    return [(fail.law, fail.at) for fail in report.failures]
+
+
 def test_law_check_flags_table_gaps():
     f = functor_from_trace(out_and_back("a", "b"))
-    pruned = type(f)(
-        n=f.n,
-        objects=f.objects,
-        morphism_table=tuple((k, m) for k, m in f.morphism_table if k != (1, 2)),
-    )
-    report = check_functor_laws(pruned)
+    report = check_functor_laws(without(f, (1, 2)))
     assert any(fail.law == "gap" and fail.at == (1, 2) for fail in report.failures)
+
+
+def test_a_missing_identity_is_one_gap():
+    f = functor_from_trace(out_and_back("a", "b"))
+    report = check_functor_laws(without(f, (1, 1)))
+    assert law_failures(report) == [("gap", (1, 1))]
+    # the triples through (1, 1) are skipped: (0,1,1), (1,1,1) and (1,1,2)
+    assert report.triples_checked == 10 - 3
+
+
+def test_laws_hold_on_long_traces_whose_arrows_drop_tuples():
+    # 24 round trips: the wanderer's tuples leave scope at every odd step
+    f = functor_from_trace(out_and_back("a", "b", trips=24))
+    assert f.n == 48
+    assert f.morphism(0, 48).component("input") == {("b",): ("b",)}
+    assert f.objects[0].input_carrier == f.objects[48].input_carrier == {("a",), ("b",)}
+    report = check_functor_laws(f)
+    assert report.passed
+    assert report.triples_checked == 49 * 50 * 51 // 6
+    ident = identity_functor(intelligence_category(f))
+    assert check_functor_laws(ident).passed
+    assert compose_functors(f, ident) == f
 
 
 def test_law_check_rejects_other_values():
@@ -333,6 +361,38 @@ def test_mimicry_rejects_images_that_blink_out():
             source, target, (0, 2), component_maps([("a", "p"), ("b", "q")])
         )
     assert exc.value.counterexample == (0, 1, "input", ("a",))
+
+
+def test_mimicry_law_check_pinpoints_a_corrupted_target_entry():
+    # built directly: mimicry_functor's commutation check would refuse it
+    f = functor_from_trace(out_and_back("a", "b", extra_steps=1))
+    g = MimicryFunctor(f, with_corrupt_span(f), (0, 1, 2, 3), (), (), ())
+    report = check_functor_laws(g)
+    assert report.objects_checked == 4
+    assert law_failures(report)[0] == ("composition", (0, 1, 2))
+
+
+def test_a_target_gap_is_a_gap_at_the_source_pair():
+    source = functor_from_trace(steady_trace(("a", "b")))
+    target = functor_from_trace(steady_trace(("p", "q"), steps=4))
+    g = mimicry_functor(source, target, (0, 2, 4), component_maps([("a", "p"), ("b", "q")]))
+    gappy = replace(g, target=without(target, (2, 4)))  # mimicry_functor would refuse it
+    report = check_functor_laws(gappy)
+    assert law_failures(report) == [("gap", (1, 2))]
+    assert report.triples_checked == 10 - 3
+    composite = compose_functors(source, gappy)
+    assert (1, 2) not in composite.table()
+    assert without(compose_functors(source, g), (1, 2)) == composite
+
+
+def test_mimicry_refuses_a_source_without_an_arrow():
+    source = without(functor_from_trace(steady_trace(("a", "b"))), (1, 2))
+    target = functor_from_trace(steady_trace(("p", "q")))
+    with pytest.raises(MimicryError, match="source category lacks") as exc:
+        mimicry_functor(
+            source, target, (0, 1, 2), component_maps([("a", "p"), ("b", "q")])
+        )
+    assert exc.value.counterexample == (1, 2)
 
 
 def test_identity_functor_is_neutral():

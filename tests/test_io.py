@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -116,6 +117,33 @@ def test_read_trace_error_catalog(tmp_path):
         (good[:2] + [good[2].replace('"step":1', '"step":true')], "line 3: step is not an"),
         (good[:2] + [good[2].replace('"step":1', '"step":1.0')], "line 3: step is not an"),
     ]
+    # entries of the wrong shape, named once on their line
+    for field, broken, message in (
+        ('"regions":[', '"regions":["ab",', "line 1: region entry is not a list of 2"),
+        ('"regions":[', '"regions":[7,', "line 1: region entry is not a list of 2"),
+        ('"regions":[', '"regions":[["r","system","x"],', "line 1: region entry is not a"),
+        ('"elements":[', '"elements":["abc",', "line 1: element entry is not a list of 3"),
+        ('"elements":[', '"elements":[["e","cpu"],', "line 1: element entry is not a"),
+        ('"phases":[["idle",0,2]]', '"phases":["abc"]', "line 1: phase entry is not a list of 3"),
+        ('"declarations":[', '"declarations":[5,', "line 1: declaration is not an object"),
+        ('"elements":[', '"elements":7,"rest":[', "line 1: elements is not a list"),
+        ('"arity":1,', "", r"line 1: malformed header \(missing 'arity'\)$"),
+        # content errors of the header, found by make_snapshot and build_trace
+        ('"elements":[', '"elements":[["core_0","ram",{}],', "line 1: duplicate element id 'core_0'"),
+        ('["mains","environment"]', '["mains","outside"]', "line 1: region 'mains' has unknown"),
+        ('["mains","environment"],', "", "line 1: region 'mains' without side"),
+        ('"scope":["io_port"]', '"scope":["attic"]', "line 1: declaration 'input_structure' "
+         "scopes unknown region 'attic'"),
+        ('"tuples":[["nic_0"]]', '"tuples":[["nic_9"]]', "line 1: declaration 'input_structure' "
+         "names unknown element 'nic_9'"),
+        ('"id":"output_structure"', '"id":"input_structure"', "line 1: duplicate declaration"),
+        ('"role":"input"', '"role":"sensing"', "line 1: unknown role 'sensing'"),
+        ('["idle",0,2]', '["idle",0,3]', r"line 1: phase 'idle' interval \[0, 3\) outside 0..2"),
+    ):
+        assert field in good[0], field
+        cases.append(([good[0].replace(field, broken, 1)] + good[1:], message))
+    cases.append((good[:1] + ['{"step":0}'], "line 2: events is not a list"))
+    cases.append((good[:1] + ['{"step":0,"events":{}}'], "line 2: events is not a list"))
     # the input declaration with one field of the wrong type
     for field, broken, message in (
         ('"arity":1', '"arity":true', "arity of 'input_structure' is not an integer"),
@@ -148,8 +176,9 @@ def test_read_trace_error_catalog(tmp_path):
     assert read_trace(write_lines(tmp_path / "ok.trace", [good[0], arrival, good[2]])).n_steps == 2
     for lines, message in cases:
         path = write_lines(tmp_path / "bad.trace", lines)
-        with pytest.raises(TraceFormatError, match=message):
+        with pytest.raises(TraceFormatError, match=message) as exc:
             read_trace(path)
+        assert len(re.findall(r"\bline \d", str(exc.value))) == 1, str(exc.value)
         assert main(["classify", "--trace", str(path)]) == 3, message
 
     (tmp_path / "void.trace").write_text("")
