@@ -193,7 +193,10 @@ def _header(header: dict) -> tuple[Snapshot, list[StructureRelation], list[Phase
         membership[eid] = _text(region, 1, f"region of {eid!r}")
     for entry in _list(header["regions"], 1, "regions"):
         region, side = _row(entry, 2, 1, "region entry")
-        region_side[_text(region, 1, "region id")] = side
+        region = _text(region, 1, "region id")
+        if region in region_side:
+            raise TraceFormatError(f"line 1: region {region!r} listed twice")
+        region_side[region] = side
     declarations = []
     for d in _list(header["declarations"], 1, "declarations"):
         did = _text(_object(d, 1, "declaration")["id"], 1, "declaration id")
@@ -363,11 +366,18 @@ def mapping_components(data: dict) -> dict[str, dict[tuple, tuple]]:
         try:
             if not all(_is_tuple(side) for pair in pairs for side in pair):
                 raise TypeError("tuples must be lists of element ids")
-            components[role] = {tuple(src): tuple(dst) for src, dst in pairs}
+            pairs = [(tuple(src), tuple(dst)) for src, dst in pairs]
         except (TypeError, ValueError) as exc:
             raise MappingFormatError(
                 f"component map for {role!r} must list [source_tuple, target_tuple] pairs"
             ) from exc
+        comp = components[role] = {}
+        for src, dst in pairs:
+            if src in comp:
+                raise MappingFormatError(
+                    f"component map for {role!r} lists source tuple {src} twice"
+                )
+            comp[src] = dst
     return components
 
 

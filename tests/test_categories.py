@@ -1,14 +1,18 @@
 """Time category, trace-induced functors, law checking, and mimicry."""
 
+import random
 from dataclasses import replace
+from functools import cache
 
 import pytest
 
+from mindsets import categories
 from mindsets import (
     EXTERNAL_IN,
     EXTERNAL_OUT,
     ConstructionError,
     IntelligenceMorphism,
+    LawReport,
     MimicryError,
     MimicryFunctor,
     ScenarioConfig,
@@ -19,13 +23,16 @@ from mindsets import (
     check_functor_laws,
     compose_functors,
     compose_morphisms,
+    default_mimicry_mapping,
     functor_from_trace,
     identity_functor,
     identity_morphism,
     intelligence_category,
     make_scenario,
     make_snapshot,
+    mapping_components,
     mimicry_functor,
+    sweep_functor_laws,
     time_category,
 )
 
@@ -214,11 +221,15 @@ def test_law_check_passes_on_trace_functors():
     assert report.triples_checked == 35  # C(5+2, 3) ordered i<=j<=k triples
 
 
+def with_entry(f, arrow, m):
+    """`f` whose table entry at `arrow` is `m`."""
+    table = tuple((k, m if k == arrow else e) for k, e in f.morphism_table)
+    return type(f)(n=f.n, objects=f.objects, morphism_table=table)
+
+
 def with_corrupt_span(f):
     """`f` whose arrow (0, 2) forgets ("b",) -> ("b",)."""
-    span = replace(f.morphism(0, 2), input_map=())
-    table = tuple((k, span if k == (0, 2) else m) for k, m in f.morphism_table)
-    return type(f)(n=f.n, objects=f.objects, morphism_table=table)
+    return with_entry(f, (0, 2), replace(f.morphism(0, 2), input_map=()))
 
 
 def test_law_check_pinpoints_a_corrupted_entry():
@@ -265,6 +276,194 @@ def test_laws_hold_on_long_traces_whose_arrows_drop_tuples():
     ident = identity_functor(intelligence_category(f))
     assert check_functor_laws(ident).passed
     assert compose_functors(f, ident) == f
+
+
+# --- fast law check against the sweep ---------------------------------------
+
+
+def with_pairs(m, role, pairs):
+    """`m` whose map for the role at index `role` holds `pairs`."""
+    maps = list(m.maps())
+    maps[role] = tuple(sorted(pairs.items()))
+    return replace(m, input_map=maps[0], processing_map=maps[1], output_map=maps[2])
+
+
+def drop_a_pair(f, arrow, rng):
+    """`f` whose entry at `arrow` forgets one of its pairs."""
+    m = f.morphism(*arrow)
+    role = rng.choice([r for r, pairs in enumerate(m.maps()) if pairs])
+    pairs = dict(m.maps()[role])
+    del pairs[rng.choice(sorted(pairs))]
+    return with_entry(f, arrow, with_pairs(m, role, pairs))
+
+
+def dropped_pair(f, arrows, rng):
+    spans = [(i, j) for i, j in arrows if i < j and any(f.morphism(i, j).maps())]
+    return drop_a_pair(f, rng.choice(spans), rng)
+
+
+def redirected_pair(f, arrows, rng):
+    """A span's pair sent to another tuple of the target carrier."""
+    choices = [
+        ((i, j), role, x, z)
+        for i, j in arrows
+        if i < j
+        for role, pairs in enumerate(f.morphism(i, j).maps())
+        for x, y in pairs
+        for z in sorted(f.objects[j].carriers()[role] - {y})
+    ]
+    arrow, role, x, z = rng.choice(choices)
+    m = f.morphism(*arrow)
+    return with_entry(f, arrow, with_pairs(m, role, {**dict(m.maps()[role]), x: z}))
+
+
+def removed_arrow(f, arrows, rng):
+    return without(f, rng.choice(arrows))
+
+
+def non_identity_diagonal(f, arrows, rng):
+    diagonal = [(i, j) for i, j in arrows if i == j and any(f.objects[i].carriers())]
+    return drop_a_pair(f, rng.choice(diagonal), rng)
+
+
+def wrong_endpoints(f, arrows, rng):
+    i, j = rng.choice(arrows)
+    other = rng.choice([o for o in f.objects if o.step != j])
+    return with_entry(f, (i, j), replace(f.morphism(i, j), target=other))
+
+
+def pair_outside_the_carriers(f, arrows, rng):
+    """A pair to a tuple of no carrier, from a source tuple or from another
+    tuple of no carrier; half the time on a step arrow (i, i+1), whose
+    foreign pairs no composite of other arrows carries."""
+    steps = [(i, j) for i, j in arrows if j == i + 1]
+    i, j = rng.choice(steps if steps and rng.random() < 0.5 else arrows)
+    m = f.morphism(i, j)
+    role = rng.randrange(3)
+    x = rng.choice(sorted(f.objects[i].carriers()[role]) + [("ghost",)])
+    return with_entry(f, (i, j), with_pairs(m, role, {**dict(m.maps()[role]), x: ("ghost",)}))
+
+
+CORRUPTIONS = (
+    dropped_pair,
+    redirected_pair,
+    removed_arrow,
+    non_identity_diagonal,
+    wrong_endpoints,
+    pair_outside_the_carriers,
+)
+
+
+@cache
+def law_base(kind, n):
+    """A trace functor with `n` steps, built once per test run."""
+    if kind == "out-and-back":
+        t = out_and_back("a", "b", trips=n // 2)
+    else:
+        trials, test_count = {18: (4, 2), 60: (14, 6)}[n]
+        t = make_scenario(kind, ScenarioConfig(seed=1, trials=trials, test_count=test_count)).trace
+    f = functor_from_trace(t)
+    assert f.n == n
+    return f
+
+
+def pullback_of(target, length, rng):
+    """A mimicry functor over `length` source steps along a random monotone
+    object map; the law check reads only its target and object map."""
+    o = tuple(sorted(rng.choices(range(target.n + 1), k=length)))
+    return MimicryFunctor(target, target, o, (), (), ())
+
+
+@cache
+def shipped_mimicry():
+    """The shipped aplysia-to-hebbian mapping over two 18-step traces."""
+    return mimicry_functor(
+        law_base("aplysia", 18),
+        law_base("hebbian", 18),
+        range(19),
+        mapping_components(default_mimicry_mapping()),
+    )
+
+
+def arrows(count):
+    return [(i, j) for i in range(count) for j in range(i, count)]
+
+
+def law_outcome(check, f):
+    """`check(f)`'s report, or the type and text of what it raised."""
+    try:
+        return check(f)
+    except Exception as exc:  # the two checks must raise alike, whatever it is
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kind", ["out-and-back", "aplysia", "hebbian"])
+def test_fast_law_check_equals_the_sweep_on_lawful_tables(kind):
+    rng = random.Random(kind)
+    f = law_base(kind, 60)
+    report = check_functor_laws(f)
+    assert report.passed and report.triples_checked == 61 * 62 * 63 // 6
+    assert report == sweep_functor_laws(f)
+    for length in (1, 2, rng.randint(3, 30)):
+        g = pullback_of(f, length, rng)
+        assert check_functor_laws(g) == sweep_functor_laws(g)
+    assert check_functor_laws(shipped_mimicry()) == sweep_functor_laws(shipped_mimicry())
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda c: c.__name__)
+def test_fast_law_check_equals_the_sweep_on_corrupted_tables(corrupt):
+    rng = random.Random(corrupt.__name__)
+    outcomes = []
+    for kind in ("out-and-back", "aplysia", "hebbian"):
+        # the table itself, corrupted anywhere
+        f = law_base(kind, 18)
+        outcomes.append(corrupt(f, arrows(f.n + 1), rng))
+        # a pullback into a long table, corrupted at an arrow it reads
+        target = law_base(kind, 60)
+        g = pullback_of(target, rng.randint(8, 24), rng)
+        o = g.object_map
+        read = sorted({(o[i], o[j]) for i, j in arrows(len(o))})
+        outcomes.append(replace(g, target=corrupt(target, read, rng)))
+    # a validated mimicry functor whose target is corrupted afterwards
+    g = shipped_mimicry()
+    outcomes.append(replace(g, target=corrupt(g.target, arrows(19), rng)))
+
+    refused = 0
+    for g in outcomes:
+        fast = law_outcome(check_functor_laws, g)
+        assert fast == law_outcome(sweep_functor_laws, g)
+        refused += not (isinstance(fast, LawReport) and fast.passed)
+    assert refused > 0
+
+
+def test_law_check_composes_each_arrow_once(monkeypatch):
+    f = functor_from_trace(
+        make_scenario("aplysia", ScenarioConfig(seed=1, trials=40, test_count=10)).trace
+    )
+    assert f.n == 150
+    calls = []
+    compose = categories.compose_morphisms
+    monkeypatch.setattr(
+        categories, "compose_morphisms", lambda a, b: calls.append((a, b)) or compose(a, b)
+    )
+    report = check_functor_laws(f)
+    assert report.passed and report.triples_checked == 151 * 152 * 153 // 6
+    assert len(calls) == 150 * 151 // 2
+
+    # the factorisation fails at the corrupted span (0, 2), its second
+    # composition, and the sweep then composes every triple
+    calls.clear()
+    f = with_corrupt_span(functor_from_trace(out_and_back("a", "b", trips=3)))
+    report = check_functor_laws(f)
+    assert law_failures(report) == [
+        ("composition", (0, 1, 2)),
+        ("composition", (0, 2, 3)),
+        ("composition", (0, 2, 4)),
+        ("composition", (0, 2, 5)),
+        ("composition", (0, 2, 6)),
+    ]
+    assert report.triples_checked == 7 * 8 * 9 // 6
+    assert len(calls) == 2 + report.triples_checked
 
 
 def test_law_check_rejects_other_values():

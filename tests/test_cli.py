@@ -107,6 +107,15 @@ def test_bad_inputs_exit_three(small_traces, tmp_path, capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 3 and f"{latin1}: byte 15 is not UTF-8 text" in err, argv
 
+    # the shipped mapping with a second image for one source tuple
+    data = default_mimicry_mapping()
+    data["components"]["input"].insert(0, [["skin_0"], ["in_px_1"]])
+    twice = tmp_path / "twice.json"
+    twice.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "mimic-check", "--source", str(small_traces["aplysia"]),
+                           "--target", str(small_traces["hebbian"]), "--map", str(twice))
+    assert code == 3 and "lists source tuple ('skin_0',) twice" in err
+
 
 def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "run", "--scenario", "psychic", "--out", "x")[0] == 2

@@ -116,6 +116,15 @@ def test_read_trace_error_catalog(tmp_path):
         ([good[0].replace('"regions":[', '"regions":[[null,"system"],')], "line 1: region id"),
         (good[:2] + [good[2].replace('"step":1', '"step":true')], "line 3: step is not an"),
         (good[:2] + [good[2].replace('"step":1', '"step":1.0')], "line 3: step is not an"),
+        # a region listed twice, on the same side or not, must not keep its last side
+        (
+            [good[0].replace('"regions":[', '"regions":[["mains","system"],')] + good[1:],
+            "line 1: region 'mains' listed twice",
+        ),
+        (
+            [good[0].replace('"regions":[', '"regions":[["mains","environment"],')] + good[1:],
+            "line 1: region 'mains' listed twice",
+        ),
     ]
     # entries of the wrong shape, named once on their line
     for field, broken, message in (
@@ -307,6 +316,13 @@ def test_mapping_components_shape_errors():
     ):
         with pytest.raises(MappingFormatError, match="component map for 'input'"):
             mapping_components({"components": {"input": pairs}})
+    # one source tuple with two images: neither may silently win
+    twice = [[["skin_0"], ["in_px_1"]], [["skin_1"], ["in_px_1"]], [["skin_0"], ["in_px_0"]]]
+    with pytest.raises(
+        MappingFormatError,
+        match=r"component map for 'input' lists source tuple \('skin_0',\) twice",
+    ):
+        mapping_components({"components": {"input": twice}})
 
 
 def test_render_classification_report():
