@@ -530,11 +530,13 @@ def sweep_functor_laws(f) -> LawReport:
     """Extensional identity and composition sweep; gaps are failures too.
 
     The oracle for `check_functor_laws`: after the arrow pass it composes
-    every triple i <= j <= k whose three arrows are present.
+    every triple i <= j <= k whose three arrows are present and not flagged
+    as gaps. A composite that cannot be formed is a composition failure.
     """
     f = _time_functor(f)
-    table = f.table()
     failures = _arrow_failures(f)
+    gaps = {failure.at for failure in failures if failure.law == "gap"}
+    table = {a: m for a, m in f.table().items() if a not in gaps}
     triples = 0
     for i, j in _arrows(f.n + 1):
         if (i, j) not in table:
@@ -543,14 +545,15 @@ def sweep_functor_laws(f) -> LawReport:
             if (j, k) not in table or (i, k) not in table:
                 continue
             triples += 1
-            if compose_morphisms(table[(i, j)], table[(j, k)]) != table[(i, k)]:
-                failures.append(
-                    LawFailure(
-                        "composition",
-                        (i, j, k),
-                        "composite of the two legs differs from the table entry",
-                    )
-                )
+            try:
+                composite = compose_morphisms(table[(i, j)], table[(j, k)])
+            except ConstructionError as exc:
+                detail = f"composite of the two legs cannot be formed: {exc}"
+            else:
+                if composite == table[(i, k)]:
+                    continue
+                detail = "composite of the two legs differs from the table entry"
+            failures.append(LawFailure("composition", (i, j, k), detail))
     return LawReport(
         objects_checked=f.n + 1, triples_checked=triples, failures=tuple(failures)
     )

@@ -4,19 +4,23 @@ The trace file is line-oriented: one JSON header naming the roster, regions,
 declarations, and phases, then one JSON line per step carrying that step's
 events. Reading replays the events through the same construction path used
 everywhere else, so a structurally broken file fails with the offending step
-named. All serialization sorts rosters, movers, and keys, which makes equal
-traces produce byte-identical files.
+named. The field checks say what is wrong, never where: `read_trace`'s one
+handler prefixes "line N:", `load_config` names its lines, and the mapping
+readers turn a failed check into their own message. All serialization sorts
+rosters, movers, and keys, which makes equal traces produce byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
 from .classify import ActivityScore, IntelligenceReport, attribution
-from .categories import LawReport
+from .categories import FUNCTOR_ROLES, LawReport
 from .evolution import Phase, StepError, Trace, TransferEvent, build_trace
 from .scenarios import ScenarioBundle, ScenarioConfig
 from .universe import ConstructionError, Snapshot, StructureRelation, make_snapshot
@@ -106,16 +110,6 @@ def write_trace(t: Trace, destination: str | Path) -> None:
     Path(destination).write_text(trace_to_text(t))
 
 
-def _parse_json(line: str, line_no: int) -> dict:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(obj, dict):
-        raise TraceFormatError(f"line {line_no}: expected an object")
-    return obj
-
-
 def _read_text(path: str | Path, error: type[ConstructionError]) -> str:
     """The file's text; bytes that are not UTF-8 raise `error` naming the file."""
     try:
@@ -124,107 +118,125 @@ def _read_text(path: str | Path, error: type[ConstructionError]) -> str:
         raise error(f"{path}: byte {exc.start} is not UTF-8 text") from None
 
 
-def _text(value, line_no: int, what: str) -> str:
+class _FieldError(ConstructionError):
+    """A field holds the wrong kind of value; the file's reader says where."""
+
+    def __init__(self, what: str, kind: str):
+        super().__init__(f"{what} is not {kind}")
+
+
+def _text(value, what: str) -> str:
     if not isinstance(value, str):
-        raise TraceFormatError(f"line {line_no}: {what} is not a string")
+        raise _FieldError(what, "a string")
     return value
 
 
-def _integer(value, line_no: int, what: str) -> int:
+def _integer(value, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise TraceFormatError(f"line {line_no}: {what} is not an integer")
+        raise _FieldError(what, "an integer")
     return value
 
 
-def _list(value, line_no: int, what: str) -> list:
-    if not isinstance(value, list):
-        raise TraceFormatError(f"line {line_no}: {what} is not a list")
+def _list(value, what: str, size: int | None = None) -> list:
+    """A list, of `size` fields if given; a string of that length would unpack too."""
+    if not isinstance(value, list) or size is not None and len(value) != size:
+        raise _FieldError(what, "a list" if size is None else f"a list of {size}")
     return value
 
 
-def _row(value, size: int, line_no: int, what: str) -> list:
-    """A list of `size` fields; a string of that length would unpack too."""
-    if not isinstance(value, list) or len(value) != size:
-        raise TraceFormatError(f"line {line_no}: {what} is not a list of {size}")
-    return value
-
-
-def _texts(value, line_no: int, what: str) -> list[str]:
+def _texts(value, what: str) -> list[str]:
     """A list of strings; a bare string would split into its characters."""
-    return [_text(v, line_no, f"{what} entry") for v in _list(value, line_no, what)]
+    return [_text(v, f"{what} entry") for v in _list(value, what)]
 
 
-def _object(value, line_no: int, what: str) -> dict:
+def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
-        raise TraceFormatError(f"line {line_no}: {what} is not an object")
+        raise _FieldError(what, "an object")
     return value
 
 
-def _state(value, line_no: int, what: str) -> dict:
+def _state(value, what: str) -> dict:
     """An element state: an object whose values are scalars, as `State` holds."""
-    for key, v in _object(value, line_no, what).items():
+    for key, v in _object(value, what).items():
         if not isinstance(v, (int, float, str)):
-            raise TraceFormatError(f"line {line_no}: {what} value {key!r} is not a scalar")
+            raise _FieldError(f"{what} value {key!r}", "a scalar")
     return value
 
 
-def _event(e, step: int, line_no: int) -> TransferEvent:
-    e = _object(e, line_no, "event")
-    kind = _text(e["kind"], line_no, "kind")
-    moved = _texts(e["moved"], line_no, "moved")
-    from_region = _text(e["from"], line_no, "from")
-    to_region = _text(e["to"], line_no, "to")
-    via = e["via"]
-    if via is not None:
-        _text(via, line_no, "via")
-    updates = _object(e["updates"], line_no, "updates")
-    for eid, attrs in updates.items():
-        _state(attrs, line_no, f"update of {eid!r}")
-    return TransferEvent.make(step, kind, moved, from_region, to_region, via, updates)
+def _json(line: str) -> dict:
+    """The JSON object one line of a trace file holds."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(f"invalid JSON ({exc.msg})") from None
+    if not isinstance(obj, dict):
+        raise TraceFormatError("expected an object")
+    return obj
 
 
-def _header(header: dict) -> tuple[Snapshot, list[StructureRelation], list[Phase]]:
-    """The initial snapshot, declarations and phases that line 1 describes."""
+def _header(line: str) -> tuple[Snapshot, list[StructureRelation], list[Phase]]:
+    """The initial snapshot, declarations and phases that the header describes."""
+    header = _json(line)
+    if header.get("format") != FORMAT_NAME:
+        raise TraceFormatError("not a trace file")
+    if header.get("version") != FORMAT_VERSION:
+        raise TraceFormatError(f"unsupported format version {header.get('version')!r}")
     elements, membership, region_side = [], {}, {}
-    for entry in _list(header["elements"], 1, "elements"):
-        eid, region, state = _row(entry, 3, 1, "element entry")
-        eid = _text(eid, 1, "element id")
-        elements.append((eid, _state(state, 1, f"state of {eid!r}")))
-        membership[eid] = _text(region, 1, f"region of {eid!r}")
-    for entry in _list(header["regions"], 1, "regions"):
-        region, side = _row(entry, 2, 1, "region entry")
-        region = _text(region, 1, "region id")
+    for entry in _list(header["elements"], "elements"):
+        eid, region, state = _list(entry, "element entry", 3)
+        eid = _text(eid, "element id")
+        elements.append((eid, _state(state, f"state of {eid!r}")))
+        membership[eid] = _text(region, f"region of {eid!r}")
+    for entry in _list(header["regions"], "regions"):
+        region, side = _list(entry, "region entry", 2)
+        region = _text(region, "region id")
         if region in region_side:
-            raise TraceFormatError(f"line 1: region {region!r} listed twice")
+            raise TraceFormatError(f"region {region!r} listed twice")
         region_side[region] = side
     declarations = []
-    for d in _list(header["declarations"], 1, "declarations"):
-        did = _text(_object(d, 1, "declaration")["id"], 1, "declaration id")
+    for d in _list(header["declarations"], "declarations"):
+        did = _text(_object(d, "declaration")["id"], "declaration id")
         declarations.append(
             StructureRelation(
                 id=did,
                 role=d["role"],
-                arity=_integer(d["arity"], 1, f"arity of {did!r}"),
+                arity=_integer(d["arity"], f"arity of {did!r}"),
                 tuples=frozenset(
-                    tuple(_texts(t, 1, f"tuple of {did!r}"))
-                    for t in _list(d["tuples"], 1, f"tuples of {did!r}")
+                    tuple(_texts(t, f"tuple of {did!r}"))
+                    for t in _list(d["tuples"], f"tuples of {did!r}")
                 ),
-                scope=frozenset(_texts(d["scope"], 1, f"scope of {did!r}")),
-                factors=tuple(_texts(d["factors"], 1, f"factors of {did!r}")),
+                scope=frozenset(_texts(d["scope"], f"scope of {did!r}")),
+                factors=tuple(_texts(d["factors"], f"factors of {did!r}")),
             )
         )
     phases = []
-    for entry in _list(header["phases"], 1, "phases"):
-        label, start, stop = _row(entry, 3, 1, "phase entry")
-        label = _text(label, 1, "phase label")
-        phases.append(
-            Phase(
-                label,
-                _integer(start, 1, f"start of phase {label!r}"),
-                _integer(stop, 1, f"stop of phase {label!r}"),
-            )
-        )
+    for entry in _list(header["phases"], "phases"):
+        label, start, stop = _list(entry, "phase entry", 3)
+        label = _text(label, "phase label")
+        start = _integer(start, f"start of phase {label!r}")
+        phases.append(Phase(label, start, _integer(stop, f"stop of phase {label!r}")))
     return make_snapshot(elements, membership, region_side), declarations, phases
+
+
+def _event(e, step: int) -> TransferEvent:
+    e = _object(e, "event")
+    kind = _text(e["kind"], "kind")
+    moved = _texts(e["moved"], "moved")
+    from_region = _text(e["from"], "from")
+    to_region = _text(e["to"], "to")
+    via = None if e["via"] is None else _text(e["via"], "via")
+    updates = _object(e["updates"], "updates")
+    for eid, attrs in updates.items():
+        _state(attrs, f"update of {eid!r}")
+    return TransferEvent.make(step, kind, moved, from_region, to_region, via, updates)
+
+
+def _step(line: str, step: int) -> list[TransferEvent]:
+    """The events of the line that must hold step `step`."""
+    obj = _json(line)
+    if _integer(obj.get("step"), "step") != step:
+        raise TraceFormatError(f"expected step {step}")
+    return [_event(e, step) for e in _list(obj.get("events"), "events")]
 
 
 def read_trace(source: str | Path) -> Trace:
@@ -232,42 +244,22 @@ def read_trace(source: str | Path) -> Trace:
     lines = _read_text(source, TraceFormatError).splitlines()
     if not lines:
         raise TraceFormatError("empty trace file")
-
-    header = _parse_json(lines[0], 1)
-    if header.get("format") != FORMAT_NAME:
-        raise TraceFormatError("line 1: not a trace file")
-    if header.get("version") != FORMAT_VERSION:
-        raise TraceFormatError(
-            f"line 1: unsupported format version {header.get('version')!r}"
-        )
+    line_no = 1
     try:
-        initial, declarations, phases = _header(header)
-    except KeyError as exc:
-        raise TraceFormatError(f"line 1: malformed header (missing {exc})") from None
-    except TraceFormatError:
-        raise
-    except ConstructionError as exc:
-        raise TraceFormatError(f"line 1: {exc}") from None
-
-    schedule: list[list[TransferEvent]] = []
-    for idx, line in enumerate(lines[1:]):
-        line_no = idx + 2
-        obj = _parse_json(line, line_no)
-        if _integer(obj.get("step"), line_no, "step") != idx:
-            raise TraceFormatError(f"line {line_no}: expected step {idx}")
-        events = _list(obj.get("events"), line_no, "events")
-        try:
-            schedule.append([_event(e, idx, line_no) for e in events])
-        except KeyError as exc:
-            raise TraceFormatError(f"line {line_no}: malformed event (missing {exc})") from None
-
-    try:
+        initial, declarations, phases = _header(lines[0])
+        schedule: list[list[TransferEvent]] = []
+        for line_no, line in enumerate(lines[1:], start=2):
+            schedule.append(_step(line, line_no - 2))
+        # outside its steps, build_trace checks the header's declarations and phases
+        line_no = 1
         return build_trace(initial, schedule, phases, declarations)
     except StepError:
         raise
+    except KeyError as exc:
+        part = "header" if line_no == 1 else "event"
+        raise TraceFormatError(f"line {line_no}: malformed {part} (missing {exc})") from None
     except ConstructionError as exc:
-        # outside its steps, build_trace checks the header's declarations and phases
-        raise TraceFormatError(f"line 1: {exc}") from None
+        raise TraceFormatError(f"line {line_no}: {exc}") from None
 
 
 def parse_window(text: str) -> tuple[int, int]:
@@ -287,10 +279,10 @@ def parse_window(text: str) -> tuple[int, int]:
 
 def load_config(path: str | Path) -> ScenarioConfig:
     """Flat key=value file over ScenarioConfig fields; each value is parsed
-    with the type of its field's default."""
+    with the type of its field's default, and each key may be given once."""
     names = {f.name for f in fields(ScenarioConfig)}
     defaults = ScenarioConfig()
-    cfg = defaults
+    values: dict[str, object] = {}
     for line_no, raw in enumerate(_read_text(path, ConfigError).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -304,36 +296,47 @@ def load_config(path: str | Path) -> ScenarioConfig:
             parsed = type(getattr(defaults, key))(value)
         except ValueError:
             raise ConfigError(f"line {line_no}: bad value for {key!r}") from None
-        cfg = replace(cfg, **{key: parsed})
-    return cfg
+        if key in values:
+            raise ConfigError(f"line {line_no}: config key {key!r} listed twice")
+        values[key] = parsed
+    return replace(defaults, **values)
+
+
+@contextmanager
+def _refusing(message: str):
+    """Turn a failed field check of a mapping into a MappingFormatError."""
+    try:
+        yield
+    except _FieldError:
+        raise MappingFormatError(message) from None
 
 
 def load_mapping(path: str | Path) -> dict:
-    try:
-        data = json.loads(_read_text(path, MappingFormatError))
-    except json.JSONDecodeError as exc:
-        raise MappingFormatError(f"invalid JSON ({exc.msg})") from exc
-    _check_mapping_shape(data)
-    return data
+    return _mapping(_read_text(path, MappingFormatError))
 
 
 def default_mimicry_mapping() -> dict:
-    text = resources.files("mindsets").joinpath("data/aplysia_to_hebbian.json").read_text()
-    data = json.loads(text)
-    _check_mapping_shape(data)
-    return data
+    return _mapping(
+        resources.files("mindsets").joinpath("data/aplysia_to_hebbian.json").read_text()
+    )
 
 
-def _check_mapping_shape(data) -> None:
+def _mapping(text: str) -> dict:
+    """The mapping `text` holds, with its format, version and tables checked."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MappingFormatError(f"invalid JSON ({exc.msg})") from None
     if not isinstance(data, dict) or data.get("format") != MAPPING_FORMAT_NAME:
         raise MappingFormatError("not a mimicry mapping file")
     if data.get("version") != 1:
         raise MappingFormatError(f"unsupported mapping version {data.get('version')!r}")
-    if "components" not in data or not isinstance(data["components"], dict):
-        raise MappingFormatError("mapping lacks a components table")
-    om = data.get("object_map")
-    if om != "identity" and not isinstance(om, list):
-        raise MappingFormatError("object_map must be \"identity\" or a pair list")
+    with _refusing("mapping lacks a components table"):
+        _object(data.get("components"), "components")
+    if data.get("object_map") != "identity":
+        with _refusing('object_map must be "identity" or a pair list'):
+            _list(data.get("object_map"), "object_map")
+    return data
 
 
 def mapping_object_map(data: dict, source_len: int) -> tuple[int, ...]:
@@ -343,34 +346,29 @@ def mapping_object_map(data: dict, source_len: int) -> tuple[int, ...]:
         return tuple(range(source_len))
     pairs: dict[int, int] = {}
     for pair in om:
-        # type(v) is int refuses JSON's true and false, which Python reads as ints
-        if not (isinstance(pair, list) and len(pair) == 2 and all(type(v) is int for v in pair)):
-            raise MappingFormatError("object_map pairs must be [int, int]")
-        if pair[0] in pairs:
-            raise MappingFormatError(f"object_map lists source object {pair[0]} twice")
-        pairs[pair[0]] = pair[1]
+        with _refusing("object_map pairs must be [int, int]"):
+            src, dst = (_integer(v, "object") for v in _list(pair, "object_map pair", 2))
+        if src in pairs:
+            raise MappingFormatError(f"object_map lists source object {src} twice")
+        pairs[src] = dst
     missing = [i for i in range(source_len) if i not in pairs]
     if missing:
         raise MappingFormatError(f"object_map misses source objects {missing}")
     return tuple(pairs[i] for i in range(source_len))
 
 
-def _is_tuple(side) -> bool:
-    """A list of element ids; a bare string would split into its characters."""
-    return isinstance(side, list) and all(isinstance(eid, str) for eid in side)
-
-
 def mapping_components(data: dict) -> dict[str, dict[tuple, tuple]]:
+    """One tuple map per role of FUNCTOR_ROLES, from [source, target] pairs."""
     components: dict[str, dict[tuple, tuple]] = {}
     for role, pairs in data["components"].items():
-        try:
-            if not all(_is_tuple(side) for pair in pairs for side in pair):
-                raise TypeError("tuples must be lists of element ids")
-            pairs = [(tuple(src), tuple(dst)) for src, dst in pairs]
-        except (TypeError, ValueError) as exc:
-            raise MappingFormatError(
-                f"component map for {role!r} must list [source_tuple, target_tuple] pairs"
-            ) from exc
+        shape = f"component map for {role!r} must list [source_tuple, target_tuple] pairs"
+        with _refusing(shape):
+            pairs = [
+                [tuple(_texts(side, "tuple")) for side in _list(pair, "pair", 2)]
+                for pair in _list(pairs, "component map")
+            ]
+        if role not in FUNCTOR_ROLES:
+            raise MappingFormatError(f"component map for unknown role {role!r}")
         comp = components[role] = {}
         for src, dst in pairs:
             if src in comp:

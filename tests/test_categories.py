@@ -264,6 +264,20 @@ def test_a_missing_identity_is_one_gap():
     assert report.triples_checked == 10 - 3
 
 
+def test_the_sweep_reports_entries_it_cannot_compose():
+    f = functor_from_trace(out_and_back("a", "b"))
+    # an entry with the wrong endpoints is one gap, and skipped like a missing one
+    wrong = with_entry(f, (0, 1), replace(f.morphism(0, 1), target=f.objects[2]))
+    report = check_functor_laws(wrong)
+    assert law_failures(report) == [("gap", (0, 1))]
+    assert report.triples_checked == 10 - 3
+    # a step pair into no carrier: the composites through it cannot be formed
+    ghost = with_entry(f, (1, 2), with_pairs(f.morphism(1, 2), 0, {("b",): ("ghost",)}))
+    report = check_functor_laws(ghost)
+    assert law_failures(report)[:2] == [("composition", (0, 1, 2)), ("composition", (1, 1, 2))]
+    assert report.failures[0].detail.endswith("leaves the carriers")
+
+
 def test_laws_hold_on_long_traces_whose_arrows_drop_tuples():
     # 24 round trips: the wanderer's tuples leave scope at every odd step
     f = functor_from_trace(out_and_back("a", "b", trips=24))
@@ -431,6 +445,7 @@ def test_fast_law_check_equals_the_sweep_on_corrupted_tables(corrupt):
     refused = 0
     for g in outcomes:
         fast = law_outcome(check_functor_laws, g)
+        assert isinstance(fast, LawReport), fast
         assert fast == law_outcome(sweep_functor_laws, g)
         refused += not (isinstance(fast, LawReport) and fast.passed)
     assert refused > 0

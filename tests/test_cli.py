@@ -94,6 +94,11 @@ def test_bad_inputs_exit_three(small_traces, tmp_path, capsys):
         code, _, err = run_cli(capsys, "run", "--scenario", "hebbian", "--config", str(cfg),
                                "--out", str(tmp_path / "x.trace"))
         assert code == 3 and f"{line.split()[0]} must be finite" in err, line
+    # a key given twice must not keep its last value
+    cfg.write_text("trials = 4\ntrials = 6\n")
+    code, _, err = run_cli(capsys, "run", "--scenario", "aplysia", "--config", str(cfg),
+                           "--out", str(tmp_path / "x.trace"))
+    assert code == 3 and "line 2: config key 'trials' listed twice" in err
 
     # bytes that are not UTF-8 name the file and the offset of the first bad byte
     latin1 = tmp_path / "latin1.txt"
@@ -115,6 +120,15 @@ def test_bad_inputs_exit_three(small_traces, tmp_path, capsys):
     code, _, err = run_cli(capsys, "mimic-check", "--source", str(small_traces["aplysia"]),
                            "--target", str(small_traces["hebbian"]), "--map", str(twice))
     assert code == 3 and "lists source tuple ('skin_0',) twice" in err
+
+    # the shipped mapping with a map for a misspelt role
+    data = default_mimicry_mapping()
+    data["components"]["outptu"] = [[["nonexistent"], ["x"]]]
+    misspelt = tmp_path / "misspelt.json"
+    misspelt.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "mimic-check", "--source", str(small_traces["aplysia"]),
+                           "--target", str(small_traces["hebbian"]), "--map", str(misspelt))
+    assert code == 3 and "unknown role 'outptu'" in err
 
 
 def test_usage_errors_exit_two(capsys):

@@ -247,6 +247,12 @@ def test_load_config_parses_typed_fields(tmp_path):
         ("speed = 9", "line 1: unknown config key"),
         ("trials = many", "line 1: bad value for 'trials'"),
         ("trials 9", "line 1: expected key=value"),
+        # a key given twice must not keep its last value
+        pytest.param(
+            "trials = 4\n# again\ntrials = 6",
+            "line 3: config key 'trials' listed twice",
+            id="key listed twice",
+        ),
     ],
 )
 def test_load_config_rejects_bad_lines(tmp_path, line, message):
@@ -323,6 +329,11 @@ def test_mapping_components_shape_errors():
         match=r"component map for 'input' lists source tuple \('skin_0',\) twice",
     ):
         mapping_components({"components": {"input": twice}})
+    # a role the functor does not have, even with an empty map
+    for role in ("outptu", "other"):
+        for pairs in ([], [[["nonexistent"], ["x"]]]):
+            with pytest.raises(MappingFormatError, match=f"unknown role '{role}'"):
+                mapping_components({"components": {"input": [], role: pairs}})
 
 
 def test_render_classification_report():
