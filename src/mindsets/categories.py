@@ -266,10 +266,8 @@ def functor_from_trace(t: Trace) -> TimeFunctor:
     decls = _role_declarations(t)
     n = t.n_steps
     objects = tuple(
-        IntelligenceObject(
-            i, *(carrier_at(decls[role], t.snapshots[i]) for role in FUNCTOR_ROLES)
-        )
-        for i in range(n + 1)
+        IntelligenceObject(i, *(carrier_at(decls[role], snap) for role in FUNCTOR_ROLES))
+        for i, snap in enumerate(t.snapshots)
     )
 
     # arrow (i, j) keeps the tuples present in every carrier from i to j

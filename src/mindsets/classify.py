@@ -215,23 +215,26 @@ def _witnesses(
     return witnesses
 
 
-def _system(t: Trace) -> list[RegionId]:
-    return sorted(t.snapshots[0].system_regions())
+def _system(first: Snapshot) -> list[RegionId]:
+    return sorted(first.system_regions())
 
 
-def _step_witnesses(t: Trace, step: int, system: list[RegionId]) -> list[Witness]:
+def _step_witnesses(
+    t: Trace, step: int, system: list[RegionId], region_side: dict[RegionId, str]
+) -> list[Witness]:
     """One step's witnesses from its events alone: each region's count
     change is its arrivals minus its departures."""
     moves = [(eid, ev.from_region, ev.to_region) for ev in t.events[step] for eid in ev.moved]
     delta = Counter(dst for _, _, dst in moves)
     delta.subtract(src for _, src, _ in moves)
-    return _witnesses(step, system, delta, _movement(t.snapshots[0].region_side, moves))
+    return _witnesses(step, system, delta, _movement(region_side, moves))
 
 
 def _first(t: Trace, step: int, condition: str) -> Witness | None:
     if not (0 <= step < t.n_steps):
         raise WindowError(f"step {step} outside steps 0:{t.n_steps}")
-    for w in _step_witnesses(t, step, _system(t)):
+    first = t.snapshots[0]
+    for w in _step_witnesses(t, step, _system(first), first.region_side):
         if w.condition == condition:
             return w
     return None
@@ -266,10 +269,11 @@ def _report(
 def classify(t: Trace, window: tuple[int, int]) -> IntelligenceReport:
     """Aggregate witnesses over the window and render the verdict."""
     start, stop = check_window(t, window)
-    system = _system(t)
+    first = t.snapshots[0]
+    system = _system(first)
     witnesses: list[Witness] = []
     for i in range(start, stop):
-        witnesses.extend(_step_witnesses(t, i, system))
+        witnesses.extend(_step_witnesses(t, i, system, first.region_side))
     has = {c: any(w.condition == c for w in witnesses) for c in CONDITIONS}
     return _report(t, (start, stop), witnesses, has)
 
@@ -320,17 +324,18 @@ def brute_force_classify(t: Trace, window: tuple[int, int]) -> IntelligenceRepor
     the regions.
     """
     start, stop = check_window(t, window)
-    if len(t.snapshots[0].membership) > 12 or stop - start > 8:
+    first = t.snapshots[0]
+    if len(first.membership) > 12 or stop - start > 8:
         raise ConstructionError(
             "size guard exceeded: brute_force_classify needs at most "
             "12 elements and a window of at most 8 steps"
         )
 
-    system = _system(t)
+    snapshots = t.snapshots[start : stop + 1]
+    system = _system(first)
     witnesses: list[Witness] = []
     has = {c: False for c in CONDITIONS}
-    for i in range(start, stop):
-        before, after = t.snapshots[i], t.snapshots[i + 1]
+    for i, before, after in zip(range(start, stop), snapshots, snapshots[1:]):
         moves = [
             (eid, src, after.membership[eid])
             for eid, src in before.membership.items()

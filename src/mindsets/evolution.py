@@ -4,13 +4,19 @@ Each step is a list of ``TransferEvent`` values applied atomically to one
 snapshot, producing the next. Events move elements between regions (the
 element roster never changes) and may update element states in the same step,
 which is how learning rides on internal events without any membership change.
-A ``Trace`` is the full history: snapshots, per-step events, phase labels,
-and structure declarations.
+A ``Trace`` is the full history: its initial snapshot plus the per-step
+events, phase labels, and structure declarations. ``build_trace`` validates
+each step against one running state updated in place and stores no later
+snapshot; ``Trace.snapshots`` replays them from the events on demand.
+``apply_step`` is the eager form of one step, kept as the oracle.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .universe import (
     ENVIRONMENT,
@@ -111,21 +117,26 @@ class Phase:
     stop: int
 
 
-def _check_event(s: Snapshot, ev: TransferEvent) -> None:
-    if ev.step != s.step:
-        raise StepError(s.step, f"event carries step {ev.step}")
+def _check_event(
+    step: int,
+    membership: dict[ElementId, RegionId],
+    region_side: dict[RegionId, str],
+    ev: TransferEvent,
+) -> None:
+    if ev.step != step:
+        raise StepError(step, f"event carries step {ev.step}")
     if ev.kind not in EVENT_KINDS:
-        raise StepError(s.step, f"unknown event kind {ev.kind!r}")
+        raise StepError(step, f"unknown event kind {ev.kind!r}")
     if not ev.moved:
-        raise StepError(s.step, "event moves no elements")
+        raise StepError(step, "event moves no elements")
     for region in (ev.from_region, ev.to_region):
-        if region not in s.region_side:
-            raise StepError(s.step, f"unknown region {region!r}")
+        if region not in region_side:
+            raise StepError(step, f"unknown region {region!r}")
     if ev.from_region == ev.to_region:
-        raise StepError(s.step, "event moves nothing across regions")
+        raise StepError(step, "event moves nothing across regions")
 
-    from_side = s.region_side[ev.from_region]
-    to_side = s.region_side[ev.to_region]
+    from_side = region_side[ev.from_region]
+    to_side = region_side[ev.to_region]
     expected = {
         EXTERNAL_IN: (ENVIRONMENT, SYSTEM),
         EXTERNAL_OUT: (SYSTEM, ENVIRONMENT),
@@ -133,64 +144,88 @@ def _check_event(s: Snapshot, ev: TransferEvent) -> None:
     }[ev.kind]
     if (from_side, to_side) != expected:
         raise StepError(
-            s.step,
+            step,
             f"{ev.kind} event connects {from_side} to {to_side} "
             f"({ev.from_region!r} to {ev.to_region!r})",
         )
 
     for eid, _ in ev.state_updates:
-        if eid not in s.membership:
-            raise StepError(s.step, f"state update names unknown element {eid!r}")
+        if eid not in membership:
+            raise StepError(step, f"state update names unknown element {eid!r}")
 
 
-def _check_movers(s: Snapshot, ev: TransferEvent) -> None:
+def _check_movers(step: int, membership: dict[ElementId, RegionId], ev: TransferEvent) -> None:
     for eid in ev.moved:
-        if eid not in s.membership:
-            raise StepError(s.step, f"unknown element {eid!r}")
-        if s.membership[eid] != ev.from_region:
+        if eid not in membership:
+            raise StepError(step, f"unknown element {eid!r}")
+        if membership[eid] != ev.from_region:
             raise StepError(
-                s.step,
-                f"element {eid!r} is in {s.membership[eid]!r}, not {ev.from_region!r}",
+                step,
+                f"element {eid!r} is in {membership[eid]!r}, not {ev.from_region!r}",
             )
+
+
+def _check_step(
+    step: int,
+    membership: dict[ElementId, RegionId],
+    region_side: dict[RegionId, str],
+    events: Sequence[TransferEvent],
+) -> None:
+    """The validation half of a step: raise the first StepError its events earn.
+
+    An element may be moved by at most one event per step, which rules out in
+    particular any element crossing the system boundary in both directions
+    within the same interval. State updates must not conflict either. Costs
+    O(moved elements + updates).
+    """
+    moved_by: dict[ElementId, TransferEvent] = {}
+    updated: set[ElementId] = set()
+    for ev in events:
+        _check_event(step, membership, region_side, ev)
+        for eid in ev.moved:
+            if eid in moved_by:
+                other = moved_by[eid]
+                if {ev.kind, other.kind} == {EXTERNAL_IN, EXTERNAL_OUT}:
+                    raise StepError(step, f"boundary double-move of element {eid!r}")
+                raise StepError(step, f"element {eid!r} moved by two events")
+            moved_by[eid] = ev
+        for eid, _ in ev.state_updates:
+            if eid in updated:
+                raise StepError(step, f"conflicting state updates for {eid!r}")
+            updated.add(eid)
+    # double-naming is reported before membership so that an in-and-out pair
+    # for one element reads as the boundary conflict it is
+    for ev in events:
+        _check_movers(step, membership, ev)
+
+
+def _advance(
+    membership: dict[ElementId, RegionId],
+    states: dict[ElementId, State],
+    events: Sequence[TransferEvent],
+) -> None:
+    """The advance half of a validated step: move its elements and merge its
+    state updates in place. An updated state is a new dict, so the state dicts
+    a snapshot holds are never changed under it."""
+    for ev in events:
+        for eid in ev.moved:
+            membership[eid] = ev.to_region
+        for eid, attrs in ev.state_updates:
+            new_state = dict(states[eid])
+            new_state.update(attrs)
+            states[eid] = new_state
 
 
 def apply_step(s: Snapshot, events: list[TransferEvent]) -> Snapshot:
     """Apply one step's events atomically, returning the next snapshot.
 
-    An element may be moved by at most one event per step, which rules out in
-    particular any element crossing the system boundary in both directions
-    within the same interval. State updates must not conflict either.
+    The eager form of what ``build_trace`` does in place: validate the step
+    against ``s``, then advance copies of its membership and states.
     """
-    moved_by: dict[ElementId, TransferEvent] = {}
-    updated: set[ElementId] = set()
-    for ev in events:
-        _check_event(s, ev)
-        for eid in ev.moved:
-            if eid in moved_by:
-                other = moved_by[eid]
-                if {ev.kind, other.kind} == {EXTERNAL_IN, EXTERNAL_OUT}:
-                    raise StepError(s.step, f"boundary double-move of element {eid!r}")
-                raise StepError(s.step, f"element {eid!r} moved by two events")
-            moved_by[eid] = ev
-        for eid, _ in ev.state_updates:
-            if eid in updated:
-                raise StepError(s.step, f"conflicting state updates for {eid!r}")
-            updated.add(eid)
-    # double-naming is reported before membership so that an in-and-out pair
-    # for one element reads as the boundary conflict it is
-    for ev in events:
-        _check_movers(s, ev)
-
+    _check_step(s.step, s.membership, s.region_side, events)
     membership = dict(s.membership)
     states = dict(s.states)
-    for ev in events:
-        for eid in ev.moved:
-            membership[eid] = ev.to_region
-        for eid, update in ev.updates().items():
-            new_state = dict(states[eid])
-            new_state.update(update)
-            states[eid] = new_state
-
+    _advance(membership, states, events)
     return Snapshot(
         step=s.step + 1,
         membership=membership,
@@ -199,16 +234,102 @@ def apply_step(s: Snapshot, events: list[TransferEvent]) -> Snapshot:
     )
 
 
-@dataclass(frozen=True, eq=True)
-class Trace:
-    """Ordered snapshots plus the per-step events that produced them.
+class _Replay(Sequence):
+    """The read-only snapshots of a built trace, replayed from its events.
 
-    ``snapshots`` has length n+1 for n steps; ``events[i]`` holds the events
-    applied between ``snapshots[i]`` and ``snapshots[i+1]``. ``phases`` labels
-    step intervals and ``declarations`` names the structures in play.
+    Holds the initial snapshot, the per-step events and sparse checkpoints,
+    each a (step, membership, states) triple. A snapshot is replayed from the
+    nearest checkpoint at or before it; iteration and a slice replay once.
+    Two replays are equal when their snapshots are, as tuples of snapshots are.
     """
 
-    snapshots: tuple[Snapshot, ...]
+    __slots__ = ("_initial", "_events", "_marks")
+
+    def __init__(
+        self,
+        initial: Snapshot,
+        events: tuple[tuple[TransferEvent, ...], ...],
+        marks: list[tuple[int, dict[ElementId, RegionId], dict[ElementId, State]]],
+    ):
+        self._initial = initial
+        self._events = events
+        self._marks = marks
+
+    def __len__(self) -> int:
+        return len(self._events) + 1
+
+    def _from_mark(self, i: int):
+        """The last checkpoint at or before step ``i``: its step and copies of its dicts."""
+        step, membership, states = self._marks[bisect_right(self._marks, i, key=itemgetter(0)) - 1]
+        return step, dict(membership), dict(states)
+
+    def _replay(self, indices: range) -> Iterator[Snapshot]:
+        """Snapshots at the ascending ``indices``, from one replay."""
+        if not indices:
+            return
+        step, membership, states = self._from_mark(indices[0])
+        for i in indices:
+            for events in self._events[step:i]:
+                _advance(membership, states, events)
+            step = i
+            if i == 0:
+                yield self._initial
+            else:
+                yield Snapshot(
+                    step=i,
+                    membership=dict(membership),
+                    region_side=self._initial.region_side,
+                    states=dict(states),
+                )
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            picked = range(len(self))[index]
+            if picked.step > 0:
+                return tuple(self._replay(picked))
+            return tuple(self._replay(picked[::-1]))[::-1]
+        i = range(len(self))[index]
+        if i == 0:
+            return self._initial
+        step, membership, states = self._from_mark(i)
+        for events in self._events[step:i]:
+            _advance(membership, states, events)
+        return Snapshot(
+            step=i, membership=membership, region_side=self._initial.region_side, states=states
+        )
+
+    def __iter__(self) -> Iterator[Snapshot]:
+        return self._replay(range(len(self)))
+
+    def __reversed__(self) -> Iterator[Snapshot]:
+        return iter(self[::-1])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Replay):
+            if self._initial == other._initial and self._events == other._events:
+                return True
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} snapshots replayed from {len(self._marks)} checkpoints>"
+
+
+@dataclass(frozen=True, eq=True)
+class Trace:
+    """An initial snapshot plus the per-step events that change it.
+
+    ``events[i]`` holds the events applied between ``snapshots[i]`` and
+    ``snapshots[i+1]``; ``snapshots`` has length n+1 for n steps. A trace from
+    ``build_trace`` stores only the initial snapshot and the events, and its
+    ``snapshots`` is a read-only sequence that replays the later ones on
+    demand. A trace built by hand may give ``snapshots`` as a tuple, which is
+    how an inconsistent history is written down. ``phases`` labels step
+    intervals and ``declarations`` names the structures in play.
+    """
+
+    snapshots: Sequence[Snapshot]
     events: tuple[tuple[TransferEvent, ...], ...]
     phases: tuple[Phase, ...] = ()
     declarations: tuple[StructureRelation, ...] = ()
@@ -242,37 +363,53 @@ def build_trace(
     phases: list[Phase] | tuple[Phase, ...] = (),
     declarations: list[StructureRelation] | tuple[StructureRelation, ...] = (),
 ) -> Trace:
-    """Run a schedule forward from the initial snapshot, validating every step."""
+    """Run a schedule forward from the initial snapshot, validating every step.
+
+    Each step is checked against one running membership and state, then
+    applied to them in place, so a step costs O(moved elements + updates).
+    A checkpoint of the running dicts is kept whenever the replay work since
+    the last one (one per step, plus its moves and updates) reaches the
+    roster size. So all checkpoints together take O(steps + events + roster)
+    memory, and replaying any one snapshot from its checkpoint costs
+    O(roster).
+    """
     if initial.step != 0:
         raise ConstructionError("initial snapshot must be at step 0")
     roster = set(initial.membership)
     for decl in declarations:
-        for region in decl.scope:
-            if region not in initial.region_side:
-                raise ConstructionError(
-                    f"declaration {decl.id!r} scopes unknown region {region!r}"
-                )
-        for tup in decl.tuples:
-            for eid in tup:
-                if eid not in roster:
-                    raise ConstructionError(
-                        f"declaration {decl.id!r} names unknown element {eid!r}"
-                    )
+        # the sorted-first offender, so the message does not depend on hashing
+        regions = [region for region in decl.scope if region not in initial.region_side]
+        if regions:
+            raise ConstructionError(
+                f"declaration {decl.id!r} scopes unknown region {min(regions)!r}"
+            )
+        tuples = [tup for tup in decl.tuples if not roster.issuperset(tup)]
+        if tuples:
+            eid = next(eid for eid in min(tuples) if eid not in roster)
+            raise ConstructionError(f"declaration {decl.id!r} names unknown element {eid!r}")
     decl_ids = [d.id for d in declarations]
     if len(set(decl_ids)) != len(decl_ids):
         raise ConstructionError("duplicate declaration ids")
     known = set(decl_ids)
 
-    snapshots = [initial]
-    for step_events in schedule:
+    events = tuple(tuple(evs) for evs in schedule)
+    membership, states = dict(initial.membership), dict(initial.states)
+    marks = [(0, initial.membership, initial.states)]
+    work = 0
+    for step, step_events in enumerate(events):
         for ev in step_events:
             if ev.via_structure is not None and ev.via_structure not in known:
                 raise StepError(
                     ev.step, f"event attributed to undeclared structure {ev.via_structure!r}"
                 )
-        snapshots.append(apply_step(snapshots[-1], list(step_events)))
+        _check_step(step, membership, initial.region_side, step_events)
+        _advance(membership, states, step_events)
+        work += 1 + sum(len(ev.moved) + len(ev.state_updates) for ev in step_events)
+        if work >= len(roster):
+            marks.append((step + 1, dict(membership), dict(states)))
+            work = 0
 
-    n = len(snapshots) - 1
+    n = len(events)
     for ph in phases:
         if not (0 <= ph.start <= ph.stop <= n):
             raise ConstructionError(
@@ -280,8 +417,8 @@ def build_trace(
             )
 
     return Trace(
-        snapshots=tuple(snapshots),
-        events=tuple(tuple(evs) for evs in schedule),
+        snapshots=_Replay(initial, events, marks),
+        events=events,
         phases=tuple(phases),
         declarations=tuple(declarations),
     )
@@ -305,11 +442,11 @@ def verify_conservation(t: Trace) -> list[ConservationViolation]:
     violations: list[ConservationViolation] = []
     if not t.snapshots:
         return violations
-    base = t.snapshots[0]
+    snapshots = iter(t.snapshots)
+    base = next(snapshots)
     expected_total = len(base.membership)
     roster = set(base.membership)
-    for i in range(1, len(t.snapshots)):
-        snap = t.snapshots[i]
+    for i, snap in enumerate(snapshots, start=1):
         total = len(snap.membership)
         if total != expected_total:
             violations.append(

@@ -2,13 +2,13 @@
 
 The trace file is line-oriented: one JSON header naming the roster, regions,
 declarations, and phases, then one JSON line per step carrying that step's
-events. Reading replays the events through the same construction path used
-everywhere else, so a structurally broken file fails with the offending step
-named. The field checks say what is wrong, never where: `read_trace`'s one
-handler prefixes "line N:", `load_config` names its lines, and the mapping
-readers turn a failed check into their own message. All serialization sorts
-rosters, movers, and keys, which makes equal traces produce byte-identical
-files.
+events. Reading validates the events through the same construction path
+used everywhere else, `build_trace`, so a structurally broken file fails
+with the offending step named. The field checks say what is wrong, never
+where: `read_trace`'s one handler prefixes "line N:", `load_config` names
+its lines, and the mapping readers turn a failed check into their own
+message. All serialization sorts rosters, movers, and keys, which makes
+equal traces produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -131,8 +131,13 @@ def _text(value, what: str) -> str:
     return value
 
 
+def _is_integer(value) -> bool:
+    """JSON's integers only: `true` and `1.0` compare equal to 1 but are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _integer(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_integer(value):
         raise _FieldError(what, "an integer")
     return value
 
@@ -179,8 +184,9 @@ def _header(line: str) -> tuple[Snapshot, list[StructureRelation], list[Phase]]:
     header = _json(line)
     if header.get("format") != FORMAT_NAME:
         raise TraceFormatError("not a trace file")
-    if header.get("version") != FORMAT_VERSION:
-        raise TraceFormatError(f"unsupported format version {header.get('version')!r}")
+    version = header.get("version")
+    if not _is_integer(version) or version != FORMAT_VERSION:
+        raise TraceFormatError(f"unsupported format version {version!r}")
     elements, membership, region_side = [], {}, {}
     for entry in _list(header["elements"], "elements"):
         eid, region, state = _list(entry, "element entry", 3)
@@ -329,8 +335,9 @@ def _mapping(text: str) -> dict:
         raise MappingFormatError(f"invalid JSON ({exc.msg})") from None
     if not isinstance(data, dict) or data.get("format") != MAPPING_FORMAT_NAME:
         raise MappingFormatError("not a mimicry mapping file")
-    if data.get("version") != 1:
-        raise MappingFormatError(f"unsupported mapping version {data.get('version')!r}")
+    version = data.get("version")
+    if not _is_integer(version) or version != 1:
+        raise MappingFormatError(f"unsupported mapping version {version!r}")
     with _refusing("mapping lacks a components table"):
         _object(data.get("components"), "components")
     if data.get("object_map") != "identity":

@@ -8,6 +8,7 @@ or with -v for the per-test verdicts as well.
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -298,3 +299,34 @@ def test_persistence_round_trips(stamp, tmp_path):
             broken.append(label)
     stamp("persistence", broken == [], time.perf_counter() - started, 10,
           f"{len(subjects)} traces byte-stable" if not broken else f"broken: {broken}")
+
+
+def test_generation_memory_at_scale(stamp):
+    # a trace keeps its initial snapshot and events, not a roster copy per step
+    started = time.perf_counter()
+    tracemalloc.start()
+    try:
+        t = generate("hebbian", trials=1000, test_count=250).trace
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    stamp("memory-at-scale", peak < 100, time.perf_counter() - started, 3,
+          f"hebbian trials=1000: {t.n_steps} steps, {len(t.snapshots[0].membership)} "
+          f"elements, peak {peak:.0f} MB (bar 100 MB)")
+
+
+def test_long_trace_round_trips(stamp, tmp_path):
+    started = time.perf_counter()
+    t = generate("sandpile", trials=3400, test_count=0).trace
+    first, second = tmp_path / "first.trace", tmp_path / "second.trace"
+    write_trace(t, first)
+    back = read_trace(first)
+    write_trace(back, second)
+    ok = (
+        t.n_steps >= 10_000
+        and back == t
+        and first.read_bytes() == second.read_bytes()
+        and tuple(back.snapshots) == t.snapshots
+    )
+    stamp("long-round-trip", ok, time.perf_counter() - started, 3,
+          f"sandpile {t.n_steps} steps read back equal and rewritten byte-identical")

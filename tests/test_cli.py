@@ -130,6 +130,19 @@ def test_bad_inputs_exit_three(small_traces, tmp_path, capsys):
                            "--target", str(small_traces["hebbian"]), "--map", str(misspelt))
     assert code == 3 and "unknown role 'outptu'" in err
 
+    # a format version of true or 1.0 equals 1 in Python but is not the integer 1
+    lines = small_traces["off"].read_text().splitlines()
+    header = json.loads(lines[0])
+    true_version = tmp_path / "true_version.trace"
+    true_version.write_text("\n".join([json.dumps({**header, "version": True})] + lines[1:]))
+    code, _, err = run_cli(capsys, "classify", "--trace", str(true_version))
+    assert code == 3 and "unsupported format version True" in err
+    float_version = tmp_path / "float_version.json"
+    float_version.write_text(json.dumps({**default_mimicry_mapping(), "version": 1.0}))
+    code, _, err = run_cli(capsys, "mimic-check", "--source", str(small_traces["aplysia"]),
+                           "--target", str(small_traces["hebbian"]), "--map", str(float_version))
+    assert code == 3 and "unsupported mapping version 1.0" in err
+
 
 def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "run", "--scenario", "psychic", "--out", "x")[0] == 2

@@ -1,6 +1,7 @@
 """Transfer events, step application, trace construction, conservation."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,11 +11,13 @@ from mindsets import (
     INTERNAL,
     ConstructionError,
     Phase,
+    ScenarioConfig,
     StepError,
     StructureRelation,
     TransferEvent,
     apply_step,
     build_trace,
+    make_scenario,
     verify_conservation,
 )
 
@@ -171,6 +174,20 @@ def test_build_trace_validates_declarations():
         build_trace(s0, [], declarations=[good, good])
 
 
+def test_build_trace_names_the_sorted_first_unknown_member():
+    # a frozenset iterates in string-hash order, which changes between processes
+    s0 = two_region_snapshot()
+    ghosts = [f"ghost_{k:02d}" for k in range(20)]
+    tuples = StructureRelation(id="d", role="input", arity=1,
+                               tuples=frozenset((g,) for g in ghosts), scope=frozenset({"in"}))
+    with pytest.raises(ConstructionError, match="names unknown element 'ghost_00'$"):
+        build_trace(s0, [], declarations=[tuples])
+    scope = StructureRelation(id="d", role="input", arity=1,
+                              tuples=frozenset(), scope=frozenset(ghosts))
+    with pytest.raises(ConstructionError, match="scopes unknown region 'ghost_00'$"):
+        build_trace(s0, [], declarations=[scope])
+
+
 def test_build_trace_checks_via_structure_is_declared():
     s0 = two_region_snapshot()
     with pytest.raises(ConstructionError, match="undeclared structure"):
@@ -250,3 +267,81 @@ def test_conservation_flags_a_swapped_identity():
     violations = verify_conservation(_retouch_last_snapshot(t, rename_one))
     assert [v.kind for v in violations] == ["roster"]
     assert violations[0].step == t.n_steps - 1
+
+
+def _eager_snapshots(t):
+    """The oracle: every snapshot folded by apply_step from the first."""
+    snapshots = [t.snapshots[0]]
+    for events in t.events:
+        snapshots.append(apply_step(snapshots[-1], list(events)))
+    return snapshots
+
+
+def _replay_traces():
+    for seed in range(40):
+        yield random_trace(random.Random(seed), with_metadata=seed % 2 == 0)
+    cfg = ScenarioConfig(seed=3, trials=24, test_count=8)
+    for name in ("hebbian", "backprop", "aplysia", "sandpile"):
+        yield make_scenario(name, cfg).trace
+    yield make_scenario("off", cfg, steps=60).trace
+
+
+def test_replayed_snapshots_equal_the_apply_step_fold():
+    traces = list(_replay_traces())
+    hebbian = traces[-5]
+    # hebbian learning rides on state updates, which the replay must merge too
+    assert any(ev.state_updates for events in hebbian.events for ev in events)
+    for t in traces:
+        eager = _eager_snapshots(t)
+        lazy = t.snapshots
+        n = len(eager)
+        assert len(lazy) == n == t.n_steps + 1
+        for i in range(-n, n):
+            assert lazy[i] == eager[i], i
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                lazy[i]
+        for cut in (
+            slice(None), slice(1, None, 2), slice(None, None, -1), slice(-4, None),
+            slice(n - 1, 0, -3), slice(2, n - 1, 3), slice(5, 2), slice(-n - 5, n + 5),
+        ):
+            assert lazy[cut] == tuple(eager[cut]), cut
+        assert list(lazy) == eager
+        assert list(reversed(lazy)) == eager[::-1]
+        assert lazy == tuple(eager) and tuple(eager) == lazy
+        assert lazy[0] is eager[0]
+
+
+def test_replay_checkpoints_are_spaced_by_moves_and_updates():
+    # a checkpoint falls once a step, its moves and its updates, counted
+    # one each since the last checkpoint, reach the roster size
+    t = make_scenario("hebbian", ScenarioConfig(seed=3, trials=24, test_count=8)).trace
+    roster = len(t.snapshots[0].membership)
+    expected, work = [0], 0
+    for step, events in enumerate(t.events):
+        work += 1 + sum(len(ev.moved) + len(ev.state_updates) for ev in events)
+        if work >= roster:
+            expected.append(step + 1)
+            work = 0
+    marks = t.snapshots._marks
+    assert [step for step, _, _ in marks] == expected
+    assert 2 < len(expected) < t.n_steps
+    eager = _eager_snapshots(t)
+    for step, membership, states in marks:
+        assert (membership, states) == (eager[step].membership, eager[step].states)
+
+
+def test_traces_compare_by_their_snapshots_in_either_form():
+    t = make_scenario("sandpile", ScenarioConfig(seed=3, trials=12)).trace
+    explicit = replace(t, snapshots=tuple(t.snapshots))
+    assert explicit == t and t == explicit
+    assert verify_conservation(explicit) == verify_conservation(t) == []
+    other = make_scenario("sandpile", ScenarioConfig(seed=4, trials=12)).trace
+    assert other != t
+    # the same events from another start make another history
+    s0 = two_region_snapshot()
+    s1 = replace(s0, states={**s0.states, "a": {"v": 1}})
+    assert build_trace(s0, [[], []]) != build_trace(s1, [[], []])
+    # snapshots that disagree with the events make another trace
+    shifted = replace(t, snapshots=tuple(t.snapshots[:-1]) + (t.snapshots[-2],))
+    assert shifted != t and t.snapshots != shifted.snapshots

@@ -88,6 +88,9 @@ def test_read_trace_error_catalog(tmp_path):
         (["{not json"], "line 1: invalid JSON"),
         (['{"format":"something-else"}'], "line 1: not a trace file"),
         (['{"format":"mindsets-trace","version":9}'], "unsupported format version"),
+        # JSON's true and 1.0 equal 1 in Python, but neither is the integer 1
+        (['{"format":"mindsets-trace","version":true}'], "unsupported format version True"),
+        (['{"format":"mindsets-trace","version":1.0}'], "unsupported format version 1.0"),
         ([good[0].replace('"regions"', '"territories"')], "malformed header"),
         (good[:1] + [good[2].replace('"step":1', '"step":5')], "line 2: expected step"),
         (good[:2] + ["[1,2,3]"], "line 3: expected an object"),
@@ -145,6 +148,11 @@ def test_read_trace_error_catalog(tmp_path):
          "scopes unknown region 'attic'"),
         ('"tuples":[["nic_0"]]', '"tuples":[["nic_9"]]', "line 1: declaration 'input_structure' "
          "names unknown element 'nic_9'"),
+        # of two unknown members, the sorted-first one, whatever the string hash
+        ('"tuples":[["nic_0"]]', '"tuples":[["nic_9"],["nic_8"]]', "line 1: declaration "
+         "'input_structure' names unknown element 'nic_8'"),
+        ('"scope":["io_port"]', '"scope":["cellar","attic"]', "line 1: declaration "
+         "'input_structure' scopes unknown region 'attic'"),
         ('"id":"output_structure"', '"id":"input_structure"', "line 1: duplicate declaration"),
         ('"role":"input"', '"role":"sensing"', "line 1: unknown role 'sensing'"),
         ('["idle",0,2]', '["idle",0,3]', r"line 1: phase 'idle' interval \[0, 3\) outside 0..2"),
@@ -284,6 +292,9 @@ def test_mapping_file_validation(tmp_path):
         load_mapping(dump({**good, "format": "recipe"}))
     with pytest.raises(MappingFormatError, match="unsupported mapping version"):
         load_mapping(dump({**good, "version": 3}))
+    for version in (True, 1.0):
+        with pytest.raises(MappingFormatError, match=f"unsupported mapping version {version}"):
+            load_mapping(dump({**good, "version": version}))
     with pytest.raises(MappingFormatError, match="components table"):
         load_mapping(dump({k: v for k, v in good.items() if k != "components"}))
     with pytest.raises(MappingFormatError, match="object_map"):
