@@ -28,7 +28,6 @@ is its oracle and names every broken triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 
 from .evolution import Trace
@@ -62,7 +61,6 @@ FUNCTOR_ROLES = ("input", "processing", "output")
 
 Tuple_ = tuple[ElementId, ...]
 Carrier = frozenset[Tuple_]
-MapPairs = tuple[tuple[Tuple_, Tuple_], ...]
 
 
 def _by_role(role: str, per_role: tuple):
@@ -154,34 +152,28 @@ class IntelligenceMorphism:
     """Extensional per-role tuple maps between two intelligence objects.
 
     Map domains may be proper subsets of the source carriers: a tuple with
-    no surviving image is simply absent. Pairs are kept sorted so equality
-    is extensional.
+    no surviving image is simply absent. Each map is a dict, shared by every
+    reader and never mutated.
     """
 
     source: IntelligenceObject
     target: IntelligenceObject
-    input_map: MapPairs
-    processing_map: MapPairs
-    output_map: MapPairs
+    input_map: dict[Tuple_, Tuple_]
+    processing_map: dict[Tuple_, Tuple_]
+    output_map: dict[Tuple_, Tuple_]
 
-    def maps(self) -> tuple[MapPairs, MapPairs, MapPairs]:
+    def maps(self) -> tuple[dict[Tuple_, Tuple_], ...]:
         """The three map tables in FUNCTOR_ROLES order."""
         return (self.input_map, self.processing_map, self.output_map)
 
     def component(self, role: str) -> dict[Tuple_, Tuple_]:
-        return dict(_by_role(role, self.maps()))
-
-
-def _pack(mapping: dict[Tuple_, Tuple_]) -> MapPairs:
-    return tuple(sorted(mapping.items()))
+        return _by_role(role, self.maps())
 
 
 def _make_morphism(
-    source: IntelligenceObject,
-    target: IntelligenceObject,
-    maps: list[dict[Tuple_, Tuple_]],
+    source: IntelligenceObject, target: IntelligenceObject, maps: list[dict[Tuple_, Tuple_]]
 ) -> IntelligenceMorphism:
-    """Check and pack one map per role, given in FUNCTOR_ROLES order."""
+    """Check one map per role, given in FUNCTOR_ROLES order."""
     roles = zip(FUNCTOR_ROLES, maps, source.carriers(), target.carriers())
     for role, mapping, src, dst in roles:
         for x, y in mapping.items():
@@ -189,7 +181,7 @@ def _make_morphism(
                 raise ConstructionError(
                     f"{role} map pair {x} -> {y} leaves the carriers"
                 )
-    return IntelligenceMorphism(source, target, *map(_pack, maps))
+    return IntelligenceMorphism(source, target, *maps)
 
 
 def _partial_identity(
@@ -209,7 +201,7 @@ def compose_morphisms(
     """`first` followed by `second`; composition of partial maps."""
     if first.target != second.source:
         raise ConstructionError("morphisms do not chain")
-    maps = [_compose_maps(dict(f), dict(g)) for f, g in zip(first.maps(), second.maps())]
+    maps = [_compose_maps(f, g) for f, g in zip(first.maps(), second.maps())]
     return _make_morphism(first.source, second.target, maps)
 
 
@@ -223,21 +215,17 @@ class TimeFunctor:
 
     n: int
     objects: tuple[IntelligenceObject, ...]
-    morphism_table: tuple[tuple[tuple[int, int], IntelligenceMorphism], ...]
-
-    @cached_property
-    def _arrows(self) -> dict[tuple[int, int], IntelligenceMorphism]:
-        return dict(self.morphism_table)
+    morphism_table: dict[tuple[int, int], IntelligenceMorphism]
 
     def table(self) -> dict[tuple[int, int], IntelligenceMorphism]:
         """Arrow (i, j) to its morphism; shared by every caller, not to be mutated."""
-        return self._arrows
+        return self.morphism_table
 
     def object_at(self, i: int) -> IntelligenceObject:
         return self.objects[i]
 
     def morphism(self, i: int, j: int) -> IntelligenceMorphism:
-        return self._arrows[(i, j)]
+        return self.morphism_table[(i, j)]
 
 
 IntelligenceCategory = TimeFunctor
@@ -278,9 +266,7 @@ def functor_from_trace(t: Trace) -> TimeFunctor:
             kept = tuple(a & b for a, b in zip(kept, objects[j].carriers()))
             table[(i, j)] = _partial_identity(objects[i], objects[j], kept)
 
-    return TimeFunctor(
-        n=n, objects=objects, morphism_table=tuple(sorted(table.items()))
-    )
+    return TimeFunctor(n=n, objects=objects, morphism_table=table)
 
 
 def intelligence_category(f: TimeFunctor) -> IntelligenceCategory:
@@ -310,13 +296,13 @@ class MimicryFunctor:
     source: IntelligenceCategory
     target: IntelligenceCategory
     object_map: tuple[int, ...]
-    input_component: MapPairs
-    processing_component: MapPairs
-    output_component: MapPairs
+    input_component: dict[Tuple_, Tuple_]
+    processing_component: dict[Tuple_, Tuple_]
+    output_component: dict[Tuple_, Tuple_]
 
     def component(self, role: str) -> dict[Tuple_, Tuple_]:
         maps = (self.input_component, self.processing_component, self.output_component)
-        return dict(_by_role(role, maps))
+        return _by_role(role, maps)
 
     def morphism_for(self, i: int, j: int) -> IntelligenceMorphism:
         return self.target.morphism(self.object_map[i], self.object_map[j])
@@ -333,11 +319,11 @@ def _pullback(g: MimicryFunctor) -> TimeFunctor:
     return TimeFunctor(
         n=len(o) - 1,
         objects=tuple(g.target.objects[x] for x in o),
-        morphism_table=tuple(
-            ((i, j), tgt_table[(o[i], o[j])])
+        morphism_table={
+            (i, j): tgt_table[(o[i], o[j])]
             for i, j in _arrows(len(o))
             if (o[i], o[j]) in tgt_table
-        ),
+        },
     )
 
 
@@ -418,8 +404,9 @@ def mimicry_functor(
                         counterexample=(i, j, role, x),
                     )
 
+    # copies, so the caller's later edits cannot reach a validated functor
     return MimicryFunctor(
-        source, target, o, *(_pack(components[role]) for role in FUNCTOR_ROLES)
+        source, target, o, *(dict(components[role]) for role in FUNCTOR_ROLES)
     )
 
 

@@ -155,14 +155,32 @@ def _check_event(
 
 
 def _check_movers(step: int, membership: dict[ElementId, RegionId], ev: TransferEvent) -> None:
+    """Every mover must sit in the event's `from` region; the error names the
+    sorted-first element that does not, whatever the set's iteration order."""
     for eid in ev.moved:
-        if eid not in membership:
-            raise StepError(step, f"unknown element {eid!r}")
-        if membership[eid] != ev.from_region:
+        if eid not in membership or membership[eid] != ev.from_region:
+            eid = min(e for e in ev.moved if membership.get(e) != ev.from_region)
+            if eid not in membership:
+                raise StepError(step, f"unknown element {eid!r}")
             raise StepError(
                 step,
                 f"element {eid!r} is in {membership[eid]!r}, not {ev.from_region!r}",
             )
+
+
+def _double_move(step: int, events: Sequence[TransferEvent]) -> StepError:
+    """The error for the first event that moves an element an earlier event
+    of the step moved, naming the sorted-first such element. Called only
+    once such an event is known to exist."""
+    moved_by: dict[ElementId, TransferEvent] = {}
+    for ev in events:
+        clash = moved_by.keys() & ev.moved
+        if clash:
+            eid = min(clash)
+            if {ev.kind, moved_by[eid].kind} == {EXTERNAL_IN, EXTERNAL_OUT}:
+                return StepError(step, f"boundary double-move of element {eid!r}")
+            return StepError(step, f"element {eid!r} moved by two events")
+        moved_by.update(dict.fromkeys(ev.moved, ev))
 
 
 def _check_step(
@@ -184,10 +202,7 @@ def _check_step(
         _check_event(step, membership, region_side, ev)
         for eid in ev.moved:
             if eid in moved_by:
-                other = moved_by[eid]
-                if {ev.kind, other.kind} == {EXTERNAL_IN, EXTERNAL_OUT}:
-                    raise StepError(step, f"boundary double-move of element {eid!r}")
-                raise StepError(step, f"element {eid!r} moved by two events")
+                raise _double_move(step, events)
             moved_by[eid] = ev
         for eid, _ in ev.state_updates:
             if eid in updated:

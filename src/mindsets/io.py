@@ -355,6 +355,10 @@ def mapping_object_map(data: dict, source_len: int) -> tuple[int, ...]:
     for pair in om:
         with _refusing("object_map pairs must be [int, int]"):
             src, dst = (_integer(v, "object") for v in _list(pair, "object_map pair", 2))
+        if not 0 <= src < source_len:
+            raise MappingFormatError(
+                f"object_map names source object {src}, outside 0..{source_len - 1}"
+            )
         if src in pairs:
             raise MappingFormatError(f"object_map lists source object {src} twice")
         pairs[src] = dst

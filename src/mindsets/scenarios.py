@@ -95,6 +95,8 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not isfinite(value):
                 raise ConstructionError(f"{f.name} must be finite")
+        if self.seed < 0:
+            raise ConstructionError("seed must be >= 0")
         if self.pattern_size < 1:
             raise ConstructionError("pattern_size must be >= 1")
         if not (1 <= self.class_count <= self.pattern_size):

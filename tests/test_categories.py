@@ -179,7 +179,7 @@ def test_functor_arrows_are_the_folds_of_the_step_arrows(make_trace):
         IntelligenceMorphism(
             a,
             b,
-            *(tuple((x, x) for x in sorted(ca & cb)) for ca, cb in zip(a.carriers(), b.carriers())),
+            *({x: x for x in ca & cb} for ca, cb in zip(a.carriers(), b.carriers())),
         )
         for a, b in zip(f.objects, f.objects[1:])
     ]
@@ -189,6 +189,17 @@ def test_functor_arrows_are_the_folds_of_the_step_arrows(make_trace):
         for j in range(i + 1, f.n + 1):
             fold = compose_morphisms(fold, steps[j - 1])
             assert f.morphism(i, j) == fold, (i, j)
+
+
+def test_components_are_the_stored_maps():
+    # one map format: an accessor hands out the map itself, not a rebuilt copy
+    f = functor_from_trace(steady_trace(("a", "b")))
+    g = identity_functor(f)
+    m = f.morphism(0, 2)
+    for role in categories.FUNCTOR_ROLES:
+        assert m.component(role) is m.component(role)
+        assert g.component(role) is g.component(role)
+    assert m.component("input") == {("a",): ("a",), ("b",): ("b",)}
 
 
 def test_roles_outside_the_three_are_refused():
@@ -223,13 +234,12 @@ def test_law_check_passes_on_trace_functors():
 
 def with_entry(f, arrow, m):
     """`f` whose table entry at `arrow` is `m`."""
-    table = tuple((k, m if k == arrow else e) for k, e in f.morphism_table)
-    return type(f)(n=f.n, objects=f.objects, morphism_table=table)
+    return type(f)(n=f.n, objects=f.objects, morphism_table={**f.morphism_table, arrow: m})
 
 
 def with_corrupt_span(f):
     """`f` whose arrow (0, 2) forgets ("b",) -> ("b",)."""
-    return with_entry(f, (0, 2), replace(f.morphism(0, 2), input_map=()))
+    return with_entry(f, (0, 2), replace(f.morphism(0, 2), input_map={}))
 
 
 def test_law_check_pinpoints_a_corrupted_entry():
@@ -242,7 +252,7 @@ def test_law_check_pinpoints_a_corrupted_entry():
 
 def without(f, *arrows):
     """`f` with the table entries of `arrows` removed."""
-    table = tuple((k, m) for k, m in f.morphism_table if k not in arrows)
+    table = {k: m for k, m in f.morphism_table.items() if k not in arrows}
     return type(f)(n=f.n, objects=f.objects, morphism_table=table)
 
 
@@ -298,7 +308,7 @@ def test_laws_hold_on_long_traces_whose_arrows_drop_tuples():
 def with_pairs(m, role, pairs):
     """`m` whose map for the role at index `role` holds `pairs`."""
     maps = list(m.maps())
-    maps[role] = tuple(sorted(pairs.items()))
+    maps[role] = pairs
     return replace(m, input_map=maps[0], processing_map=maps[1], output_map=maps[2])
 
 
@@ -323,12 +333,12 @@ def redirected_pair(f, arrows, rng):
         for i, j in arrows
         if i < j
         for role, pairs in enumerate(f.morphism(i, j).maps())
-        for x, y in pairs
+        for x, y in sorted(pairs.items())
         for z in sorted(f.objects[j].carriers()[role] - {y})
     ]
     arrow, role, x, z = rng.choice(choices)
     m = f.morphism(*arrow)
-    return with_entry(f, arrow, with_pairs(m, role, {**dict(m.maps()[role]), x: z}))
+    return with_entry(f, arrow, with_pairs(m, role, {**m.maps()[role], x: z}))
 
 
 def removed_arrow(f, arrows, rng):
@@ -355,7 +365,7 @@ def pair_outside_the_carriers(f, arrows, rng):
     m = f.morphism(i, j)
     role = rng.randrange(3)
     x = rng.choice(sorted(f.objects[i].carriers()[role]) + [("ghost",)])
-    return with_entry(f, (i, j), with_pairs(m, role, {**dict(m.maps()[role]), x: ("ghost",)}))
+    return with_entry(f, (i, j), with_pairs(m, role, {**m.maps()[role], x: ("ghost",)}))
 
 
 CORRUPTIONS = (
@@ -385,7 +395,7 @@ def pullback_of(target, length, rng):
     """A mimicry functor over `length` source steps along a random monotone
     object map; the law check reads only its target and object map."""
     o = tuple(sorted(rng.choices(range(target.n + 1), k=length)))
-    return MimicryFunctor(target, target, o, (), (), ())
+    return MimicryFunctor(target, target, o, {}, {}, {})
 
 
 @cache
@@ -580,7 +590,7 @@ def test_mimicry_rejects_images_that_blink_out():
 def test_mimicry_law_check_pinpoints_a_corrupted_target_entry():
     # built directly: mimicry_functor's commutation check would refuse it
     f = functor_from_trace(out_and_back("a", "b", extra_steps=1))
-    g = MimicryFunctor(f, with_corrupt_span(f), (0, 1, 2, 3), (), (), ())
+    g = MimicryFunctor(f, with_corrupt_span(f), (0, 1, 2, 3), {}, {}, {})
     report = check_functor_laws(g)
     assert report.objects_checked == 4
     assert law_failures(report)[0] == ("composition", (0, 1, 2))

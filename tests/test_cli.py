@@ -94,6 +94,13 @@ def test_bad_inputs_exit_three(small_traces, tmp_path, capsys):
         code, _, err = run_cli(capsys, "run", "--scenario", "hebbian", "--config", str(cfg),
                                "--out", str(tmp_path / "x.trace"))
         assert code == 3 and f"{line.split()[0]} must be finite" in err, line
+    # numpy refuses a negative seed; each scenario that reads the config refuses it first
+    cfg.write_text("seed = -1\n")
+    for scenario in ("hebbian", "backprop", "sandpile", "aplysia"):
+        for argv in (("--config", str(cfg)), ("--seed", "-1")):
+            code, _, err = run_cli(capsys, "run", "--scenario", scenario, *argv,
+                                   "--out", str(tmp_path / "x.trace"))
+            assert code == 3 and "seed must be >= 0" in err, (scenario, argv)
     # a key given twice must not keep its last value
     cfg.write_text("trials = 4\ntrials = 6\n")
     code, _, err = run_cli(capsys, "run", "--scenario", "aplysia", "--config", str(cfg),
@@ -120,6 +127,15 @@ def test_bad_inputs_exit_three(small_traces, tmp_path, capsys):
     code, _, err = run_cli(capsys, "mimic-check", "--source", str(small_traces["aplysia"]),
                            "--target", str(small_traces["hebbian"]), "--map", str(twice))
     assert code == 3 and "lists source tuple ('skin_0',) twice" in err
+
+    # the shipped mapping with object pairs outside the source's 19 objects (18 steps)
+    data = {**default_mimicry_mapping(), "object_map": [[i, i] for i in range(19)]}
+    for extra in ([99, 0], [-1, 0]):
+        stray = tmp_path / "stray.json"
+        stray.write_text(json.dumps({**data, "object_map": data["object_map"] + [extra]}))
+        code, _, err = run_cli(capsys, "mimic-check", "--source", str(small_traces["aplysia"]),
+                               "--target", str(small_traces["hebbian"]), "--map", str(stray))
+        assert code == 3 and f"source object {extra[0]}, outside 0..18" in err, extra
 
     # the shipped mapping with a map for a misspelt role
     data = default_mimicry_mapping()

@@ -1,10 +1,15 @@
 """Transfer events, step application, trace construction, conservation."""
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import mindsets
 from mindsets import (
     EXTERNAL_IN,
     EXTERNAL_OUT,
@@ -186,6 +191,49 @@ def test_build_trace_names_the_sorted_first_unknown_member():
                               tuples=frozenset(), scope=frozenset(ghosts))
     with pytest.raises(ConstructionError, match="scopes unknown region 'ghost_00'$"):
         build_trace(s0, [], declarations=[scope])
+
+
+# four bad steps whose movers iterate in string-hash order: unknown element,
+# element not in `from`, moved by two events, boundary double-move
+BAD_STEPS = """
+from mindsets import EXTERNAL_IN, EXTERNAL_OUT, StepError, TransferEvent, apply_step, make_snapshot
+xs = [f"x_{k:02d}" for k in range(20)]
+ys = [f"y_{k:02d}" for k in range(20)]
+membership = {**dict.fromkeys(xs, "in"), **dict.fromkeys(ys, "out")}
+s0 = make_snapshot([(e, None) for e in membership], membership,
+                   {"in": "system", "out": "environment"})
+inward = lambda moved: TransferEvent.make(0, EXTERNAL_IN, moved, "out", "in")
+outward = lambda moved: TransferEvent.make(0, EXTERNAL_OUT, moved, "in", "out")
+for events in (
+    [inward(ys + [f"ghost_{k:02d}" for k in range(20)])],
+    [inward(ys[10:] + xs)],
+    [inward(ys[10:]), inward(ys)],
+    [inward(ys[10:]), outward(xs + ys)],
+):
+    try:
+        apply_step(s0, events)
+    except StepError as exc:
+        print(exc)
+"""
+
+
+def test_step_errors_name_the_sorted_first_offender_under_any_hash_seed():
+    package_root = str(Path(mindsets.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", BAD_STEPS],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)},
+        ).stdout
+        for seed in range(1, 7)
+    }
+    assert outputs == {
+        "step 0: unknown element 'ghost_00'\n"
+        "step 0: element 'x_00' is in 'in', not 'out'\n"
+        "step 0: element 'y_10' moved by two events\n"
+        "step 0: boundary double-move of element 'y_10'\n"
+    }
 
 
 def test_build_trace_checks_via_structure_is_declared():

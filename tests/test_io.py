@@ -322,6 +322,9 @@ def test_explicit_object_maps():
             mapping_object_map({**data, "object_map": pairs}, 3)
     with pytest.raises(MappingFormatError, match="source object 1 twice"):
         mapping_object_map({**data, "object_map": [[0, 0], [1, 1], [1, 2], [2, 2]]}, 3)
+    for extra in ([3, 0], [-1, 0]):
+        with pytest.raises(MappingFormatError, match=rf"source object {extra[0]}, outside 0\.\.2"):
+            mapping_object_map({**data, "object_map": [[0, 0], [1, 2], [2, 4], extra]}, 3)
 
 
 def test_mapping_components_shape_errors():

@@ -253,6 +253,7 @@ def test_powered_off_is_structured_but_inert():
 
 def test_config_validation_catches_bad_knobs():
     bad = [
+        ScenarioConfig(seed=-1),
         ScenarioConfig(trials=0),
         ScenarioConfig(class_count=9),
         ScenarioConfig(noise=1.0),
