@@ -13,21 +13,35 @@ with time evolution. A mimicry functor applied after its source's time
 functor is itself a time functor, its pullback, so a mimicry functor's laws
 are checked as its pullback's.
 
+A trace functor stores no arrows. The category is generated by its steps
+(i, i+1), and arrow (i, j) is the identity on the tuples present at every
+step from i to j, so the functor keeps, per step and role, each carrier
+tuple's run end: the last step its presence reaches without a gap. One
+backward pass over the objects gives them, and `morphism(i, j)` is the
+partial identity on the tuples of carrier i whose run end is >= j. The
+full table, O(n^2) morphisms, is built only when `table()` is read: by the
+oracles and by hand-built functors, which hold a table instead.
+
 Law checking is extensional, so every report can name the object, arrow or
-triple that broke. The time category is generated by its steps (i, i+1),
-so once every arrow i <= j is present, with the right endpoints and
-identities on the diagonal, a table is a functor exactly when each arrow
-factors through its last step: (i, k) = (i, k-1) ; (k-1, k). By induction
-each arrow is then the composite of its steps, and associativity of partial
-maps makes every triple commute. `check_functor_laws` makes those n(n+1)/2
-compositions. Only when the arrow pass or one of them fails does it fall
-back to the sweep over all triples i <= j <= k, `sweep_functor_laws`, which
-is its oracle and names every broken triple.
+triple that broke. On a trace functor `check_functor_laws` makes one linear
+pass that checks the run ends against the objects, which is the
+factorisation through the steps; a mimicry functor into a trace functor
+needs only its object map to be monotone and in range on top of that. A
+table passes once every arrow i <= j is present, with the right endpoints
+and identities on the diagonal, and each arrow factors through its last
+step: (i, k) = (i, k-1) ; (k-1, k). By induction each arrow is then the
+composite of its steps, and associativity of partial maps makes every
+triple commute. Only when those checks fail does it fall back to the sweep
+over all triples i <= j <= k of the table, `sweep_functor_laws`, which is
+its oracle and names every broken triple. Mimicry validation likewise checks
+only the steps of two trace functors, and runs its loop over all arrows,
+which names the first counterexample, only when a step fails.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 from .evolution import Trace
@@ -61,6 +75,8 @@ FUNCTOR_ROLES = ("input", "processing", "output")
 
 Tuple_ = tuple[ElementId, ...]
 Carrier = frozenset[Tuple_]
+# per role, in FUNCTOR_ROLES order: each tuple of one step's carrier to its run end
+RunEnds = tuple[dict[Tuple_, int], ...]
 
 
 def _by_role(role: str, per_role: tuple):
@@ -184,15 +200,8 @@ def _make_morphism(
     return IntelligenceMorphism(source, target, *maps)
 
 
-def _partial_identity(
-    source: IntelligenceObject, target: IntelligenceObject, kept: tuple[Carrier, ...]
-) -> IntelligenceMorphism:
-    """The morphism fixing the `kept` tuples of each role and nothing else."""
-    return _make_morphism(source, target, [{x: x for x in c} for c in kept])
-
-
 def identity_morphism(obj: IntelligenceObject) -> IntelligenceMorphism:
-    return _partial_identity(obj, obj, obj.carriers())
+    return IntelligenceMorphism(obj, obj, *({x: x for x in c} for c in obj.carriers()))
 
 
 def compose_morphisms(
@@ -205,27 +214,63 @@ def compose_morphisms(
     return _make_morphism(first.source, second.target, maps)
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class TimeFunctor:
-    """Tables sending step i to an object and arrow (i, j) to a morphism.
+    """Step i to an object and arrow (i, j) to a morphism, in one of two forms.
 
-    The same tables are the intelligence category the functor carves out,
-    so a time functor also serves as a mimicry functor's source or target.
+    A trace functor holds `run_ends`: at each step i and for each role, every
+    tuple of carrier i mapped to the last step j >= i such that the tuple is
+    present at every step from i to j. Arrow (i, j) is the partial identity
+    on the tuples whose run end is >= j, made on demand. A hand-built functor
+    holds `morphism_table` instead, arrow (i, j) to its morphism.
+
+    The same data are the intelligence category the functor carves out, so a
+    time functor also serves as a mimicry functor's source or target.
     """
 
     n: int
     objects: tuple[IntelligenceObject, ...]
-    morphism_table: dict[tuple[int, int], IntelligenceMorphism]
+    morphism_table: dict[tuple[int, int], IntelligenceMorphism] | None = None
+    run_ends: tuple[RunEnds, ...] | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if (self.morphism_table is None) == (self.run_ends is None):
+            raise ConstructionError("a time functor holds either a table or run ends")
+
+    def __eq__(self, other):
+        if not isinstance(other, TimeFunctor):
+            return NotImplemented
+        if self is other:
+            return True
+        if self.n != other.n or self.objects != other.objects:
+            return False
+        if self.run_ends is not None and other.run_ends is not None:
+            return self.run_ends == other.run_ends
+        return self.table() == other.table()
 
     def table(self) -> dict[tuple[int, int], IntelligenceMorphism]:
-        """Arrow (i, j) to its morphism; shared by every caller, not to be mutated."""
-        return self.morphism_table
+        """Arrow (i, j) to its morphism; shared by every caller, not to be mutated.
+
+        A trace functor builds it on first use, O(n^2) morphisms.
+        """
+        if self.run_ends is None:
+            return self.morphism_table
+        return self._run_table
+
+    @cached_property
+    def _run_table(self) -> dict[tuple[int, int], IntelligenceMorphism]:
+        return {(i, j): self.morphism(i, j) for i, j in _arrows(self.n + 1)}
 
     def object_at(self, i: int) -> IntelligenceObject:
         return self.objects[i]
 
     def morphism(self, i: int, j: int) -> IntelligenceMorphism:
-        return self.morphism_table[(i, j)]
+        if self.run_ends is None:
+            return self.morphism_table[(i, j)]
+        if not 0 <= i <= j <= self.n:
+            raise KeyError((i, j))
+        kept = ({x: x for x, end in ends.items() if end >= j} for ends in self.run_ends[i])
+        return IntelligenceMorphism(self.objects[i], self.objects[j], *kept)
 
 
 IntelligenceCategory = TimeFunctor
@@ -248,25 +293,26 @@ def functor_from_trace(t: Trace) -> TimeFunctor:
     """Build the step-indexed functor a trace induces.
 
     Morphisms follow tuples that stay in scope through every intermediate
-    snapshot; everything else drops out of the domain, and the table is
-    closed under composition by construction.
+    snapshot; everything else drops out of the domain. The functor stores
+    the run ends of its carrier tuples, not its arrows.
     """
     decls = _role_declarations(t)
-    n = t.n_steps
     objects = tuple(
         IntelligenceObject(i, *(carrier_at(decls[role], snap) for role in FUNCTOR_ROLES))
         for i, snap in enumerate(t.snapshots)
     )
 
-    # arrow (i, j) keeps the tuples present in every carrier from i to j
-    table: dict[tuple[int, int], IntelligenceMorphism] = {}
-    for i in range(n + 1):
-        kept = objects[i].carriers()
-        for j in range(i, n + 1):
-            kept = tuple(a & b for a, b in zip(kept, objects[j].carriers()))
-            table[(i, j)] = _partial_identity(objects[i], objects[j], kept)
-
-    return TimeFunctor(n=n, objects=objects, morphism_table=table)
+    # backwards: a tuple present at i+1 keeps its run end from there, any
+    # other tuple's run ends at i
+    runs: list[RunEnds] = []
+    later: RunEnds = ({},) * len(FUNCTOR_ROLES)
+    for obj in reversed(objects):
+        later = tuple(
+            {x: ends.get(x, obj.step) for x in carrier}
+            for carrier, ends in zip(obj.carriers(), later)
+        )
+        runs.append(later)
+    return TimeFunctor(n=t.n_steps, objects=objects, run_ends=tuple(reversed(runs)))
 
 
 def intelligence_category(f: TimeFunctor) -> IntelligenceCategory:
@@ -379,6 +425,20 @@ def mimicry_functor(
                         counterexample=(i, role, x, comp[x]),
                     )
 
+    # two trace functors need only their steps checked; when a step fails,
+    # the loop over all arrows names the first counterexample
+    if not _images_survive_steps(source, target, o, components):
+        _check_every_arrow(source, target, o, components)
+
+    # copies, so the caller's later edits cannot reach a validated functor
+    return MimicryFunctor(
+        source, target, o, *(dict(components[role]) for role in FUNCTOR_ROLES)
+    )
+
+
+def _check_every_arrow(source, target, o: tuple[int, ...], components) -> None:
+    """Raise on the first source arrow, in sorted order, that is missing,
+    maps to a missing target arrow, or has a square that fails."""
     src_table = source.table()
     tgt_table = target.table()
     for i, j in _arrows(len(o)):
@@ -404,10 +464,27 @@ def mimicry_functor(
                         counterexample=(i, j, role, x),
                     )
 
-    # copies, so the caller's later edits cannot reach a validated functor
-    return MimicryFunctor(
-        source, target, o, *(dict(components[role]) for role in FUNCTOR_ROLES)
-    )
+
+def _images_survive_steps(source, target, o: tuple[int, ...], components) -> bool:
+    """Whether both categories are trace functors whose run ends hold and
+    each tuple present at source steps k and k+1 has an image whose target
+    run end at o(k) reaches o(k+1).
+
+    Needs components total on the source carriers and landing in the mapped
+    carriers. Every arrow is then a partial identity, so a square commutes
+    once its image survives. A tuple surviving (i, j) is present at each
+    step between, o is monotone, and the images' runs over the steps chain
+    from o(i) to o(j). So this passes exactly when the arrow loop does.
+    """
+    if not (_runs_hold(source) and _runs_hold(target)):
+        return False
+    maps = [components[role] for role in FUNCTOR_ROLES]
+    for k in range(len(o) - 1):
+        reach = o[k + 1]
+        for ends, images, comp in zip(source.run_ends[k], target.run_ends[o[k]], maps):
+            if any(end > k and images[comp[x]] < reach for x, end in ends.items()):
+                return False
+    return True
 
 
 def identity_functor(cat: IntelligenceCategory) -> MimicryFunctor:
@@ -544,17 +621,61 @@ def sweep_functor_laws(f) -> LawReport:
     )
 
 
+def _runs_hold(f) -> bool:
+    """Whether `f` is a trace functor whose run ends its objects give.
+
+    At each step i the run ends' keys must be carrier i, and a tuple's run
+    end must be its run end at i+1 when it is present at i+1, and i
+    otherwise. One backward pass, O(n + the carriers' sizes). Then arrow
+    (i, j) is the identity on the tuples present from i to j, so it is
+    (i, k-1) ; (k-1, k) and every law holds, as on a table that factors
+    through its steps.
+    """
+    if not isinstance(f, TimeFunctor) or f.run_ends is None:
+        return False
+    if len(f.run_ends) != f.n + 1 or len(f.objects) != f.n + 1:
+        return False
+    later: RunEnds = ({},) * len(FUNCTOR_ROLES)
+    for i in range(f.n, -1, -1):
+        if len(f.run_ends[i]) != len(FUNCTOR_ROLES):
+            return False
+        for ends, carrier, after in zip(f.run_ends[i], f.objects[i].carriers(), later):
+            if ends.keys() != carrier:
+                return False
+            if any(end != after.get(x, i) for x, end in ends.items()):
+                return False
+        later = f.run_ends[i]
+    return True
+
+
+def _monotone_into(o: tuple[int, ...], target: TimeFunctor) -> bool:
+    """Whether the object map o is monotone with values in 0..target.n."""
+    return all(0 <= x <= target.n for x in o) and all(a <= b for a, b in zip(o, o[1:]))
+
+
+def _all_laws_hold(count: int) -> LawReport:
+    """A passing report over `count` objects and all C(count+2, 3) triples."""
+    return LawReport(
+        objects_checked=count, triples_checked=comb(count + 2, 3), failures=()
+    )
+
+
 def check_functor_laws(f) -> LawReport:
     """Identity and composition laws; gaps are failures too.
 
-    A mimicry functor is checked as its pullback, the time functor it
-    induces over its source's steps. A table with no gap, wrong endpoint or
-    non-identity that factors through its steps passes with all C(n+3, 3)
-    triples counted; any other gets the report of `sweep_functor_laws`.
+    A trace functor whose run ends hold passes, and so does a mimicry functor
+    with a monotone, in-range object map into one: its pullback is then a
+    functor composed of two. Any other mimicry functor is checked as its
+    pullback, the time functor it induces over its source's steps. A table
+    with no gap, wrong endpoint or non-identity that factors through its
+    steps passes. A pass counts all C(n+3, 3) triples; anything else gets the
+    report of `sweep_functor_laws` on the table.
     """
+    if isinstance(f, MimicryFunctor):
+        o = f.object_map
+        if _runs_hold(f.target) and _monotone_into(o, f.target):
+            return _all_laws_hold(len(o))
     f = _time_functor(f)
-    if not _arrow_failures(f) and _factors_through_steps(f):
-        return LawReport(
-            objects_checked=f.n + 1, triples_checked=comb(f.n + 3, 3), failures=()
-        )
+    if _runs_hold(f) or (not _arrow_failures(f) and _factors_through_steps(f)):
+        return _all_laws_hold(f.n + 1)
     return sweep_functor_laws(f)

@@ -124,11 +124,14 @@ def _cmd_functor_check(args) -> int:
 
 
 def _cmd_mimic_check(args) -> int:
-    source_cat = functor_from_trace(read_trace(args.source))
-    target_cat = functor_from_trace(read_trace(args.target))
+    # every file is read and checked before either functor is built
+    source = read_trace(args.source)
+    target = read_trace(args.target)
     data = load_mapping(args.map)
-    object_map = mapping_object_map(data, len(source_cat.objects))
+    object_map = mapping_object_map(data, source.n_steps + 1)
     components = mapping_components(data)
+    source_cat = functor_from_trace(source)
+    target_cat = functor_from_trace(target)
     try:
         functor = mimicry_functor(source_cat, target_cat, object_map, components)
     except MimicryError as exc:

@@ -460,7 +460,7 @@ def verify_conservation(t: Trace) -> list[ConservationViolation]:
     snapshots = iter(t.snapshots)
     base = next(snapshots)
     expected_total = len(base.membership)
-    roster = set(base.membership)
+    roster = base.membership.keys()
     for i, snap in enumerate(snapshots, start=1):
         total = len(snap.membership)
         if total != expected_total:
@@ -469,13 +469,13 @@ def verify_conservation(t: Trace) -> list[ConservationViolation]:
                     step=i - 1, kind="cardinality", expected=expected_total, actual=total
                 )
             )
-        elif set(snap.membership) != roster:
+        elif snap.membership.keys() != roster:
             violations.append(
                 ConservationViolation(
                     step=i - 1,
                     kind="roster",
                     expected=expected_total,
-                    actual=len(roster & set(snap.membership)),
+                    actual=len(roster & snap.membership.keys()),
                 )
             )
     return violations

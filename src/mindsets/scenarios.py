@@ -635,5 +635,6 @@ def make_scenario(name: str, cfg: ScenarioConfig, steps: int = 200) -> ScenarioB
     if name == "sandpile":
         return sandpile_scenario(cfg)
     if name == "off":
+        cfg.validate()  # the generator reads no knob, but a bad config is refused here too
         return powered_off_scenario(steps)
     raise ConstructionError(f"unknown scenario {name!r}")

@@ -42,8 +42,10 @@ def two_region_snapshot(
     )
 
 
-def random_trace(rng: random.Random, with_metadata: bool = False) -> Trace:
-    """A small valid trace: at most 8 elements, 3+2 regions, 6 steps.
+def random_trace(
+    rng: random.Random, with_metadata: bool = False, max_steps: int = 6
+) -> Trace:
+    """A small valid trace: at most 8 elements, 3+2 regions, `max_steps` steps.
 
     Each step draws up to two events whose {from, to} footprints do not
     overlap, and no element moves twice in a step. With `with_metadata`,
@@ -71,7 +73,7 @@ def random_trace(rng: random.Random, with_metadata: bool = False) -> Trace:
         ]
 
     where = dict(membership)
-    n_steps = rng.randint(1, 6)
+    n_steps = rng.randint(1, max_steps)
     schedule: list[list[TransferEvent]] = []
     for step in range(n_steps):
         events: list[TransferEvent] = []

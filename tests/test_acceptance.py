@@ -315,6 +315,15 @@ def test_generation_memory_at_scale(stamp):
           f"elements, peak {peak:.0f} MB (bar 100 MB)")
 
 
+def test_conservation_at_scale(stamp):
+    # one roster comparison per replayed snapshot, no set built for each
+    started = time.perf_counter()
+    t = generate("hebbian", trials=1000, test_count=250).trace
+    violations = verify_conservation(t)
+    stamp("conservation-at-scale", violations == [], time.perf_counter() - started, 10,
+          f"hebbian trials=1000: {t.n_steps} steps, {len(violations)} violations")
+
+
 def test_long_trace_round_trips(stamp, tmp_path):
     started = time.perf_counter()
     t = generate("sandpile", trials=3400, test_count=0).trace

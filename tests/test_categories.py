@@ -36,6 +36,8 @@ from mindsets import (
     time_category,
 )
 
+from factories import random_trace
+
 REGION_SIDE = {"lab": "environment", "core": "system", "sink": "system"}
 
 
@@ -234,7 +236,7 @@ def test_law_check_passes_on_trace_functors():
 
 def with_entry(f, arrow, m):
     """`f` whose table entry at `arrow` is `m`."""
-    return type(f)(n=f.n, objects=f.objects, morphism_table={**f.morphism_table, arrow: m})
+    return type(f)(n=f.n, objects=f.objects, morphism_table={**f.table(), arrow: m})
 
 
 def with_corrupt_span(f):
@@ -252,7 +254,7 @@ def test_law_check_pinpoints_a_corrupted_entry():
 
 def without(f, *arrows):
     """`f` with the table entries of `arrows` removed."""
-    table = {k: m for k, m in f.morphism_table.items() if k not in arrows}
+    table = {k: m for k, m in f.table().items() if k not in arrows}
     return type(f)(n=f.n, objects=f.objects, morphism_table=table)
 
 
@@ -473,6 +475,8 @@ def test_law_check_composes_each_arrow_once(monkeypatch):
     )
     report = check_functor_laws(f)
     assert report.passed and report.triples_checked == 151 * 152 * 153 // 6
+    assert calls == []  # a trace functor's run ends are checked, no arrow is composed
+    assert check_functor_laws(table_form(f)) == report
     assert len(calls) == 150 * 151 // 2
 
     # the factorisation fails at the corrupted span (0, 2), its second
@@ -656,3 +660,151 @@ def test_functor_composition_typing():
         compose_functors(f, ident)
     with pytest.raises(ConstructionError, match="cannot compose"):
         compose_functors(ident, f)
+
+
+# --- run encoding against the materialized table ------------------------------
+
+
+def intersection_table(objects):
+    """Arrow (i, j) as the identity on the tuples of every carrier from i to j,
+    built by intersecting the carriers: the table a trace functor's run ends
+    must reproduce."""
+    table = {}
+    for i, a in enumerate(objects):
+        kept = a.carriers()
+        for j in range(i, len(objects)):
+            b = objects[j]
+            kept = tuple(x & y for x, y in zip(kept, b.carriers()))
+            table[(i, j)] = IntelligenceMorphism(a, b, *({x: x for x in c} for c in kept))
+    return table
+
+
+def table_form(f):
+    """The same objects with the intersection table, checked by the table paths."""
+    return type(f)(n=f.n, objects=f.objects, morphism_table=intersection_table(f.objects))
+
+
+def turnover_functors():
+    """Trace functors whose tuples leave scope and come back, n up to 60."""
+    rng = random.Random("turnover")
+    traces = [out_and_back("a", "b", trips=30), out_and_back("a", "b", trips=3, extra_steps=2)]
+    traces += [random_trace(rng, with_metadata=True, max_steps=60) for _ in range(6)]
+    return [functor_from_trace(t) for t in traces]
+
+
+def test_run_encoded_arrows_equal_the_intersection_build():
+    functors = turnover_functors()
+    aplysia = make_scenario("aplysia", ScenarioConfig(seed=1, trials=14, test_count=6)).trace
+    functors.append(functor_from_trace(aplysia))
+    assert max(f.n for f in functors) == 60
+    for f in functors:
+        oracle = intersection_table(f.objects)
+        assert "_run_table" not in f.__dict__  # no table until one is asked for
+        for i, j in arrows(f.n + 1):
+            assert f.morphism(i, j) == oracle[(i, j)], (i, j)
+        assert f.table() == oracle
+        assert f == table_form(f) and table_form(f) == f
+
+
+def test_run_end_check_equals_the_sweep_on_the_table_form():
+    rng = random.Random("run ends")
+    for f in turnover_functors():
+        oracle = table_form(f)
+        report = check_functor_laws(f)
+        assert report.passed and report == sweep_functor_laws(oracle)
+        # pullbacks along monotone object maps, and along maps that are not
+        for length in (1, rng.randint(2, 20)):
+            o = tuple(sorted(rng.choices(range(f.n + 1), k=length)))
+            fast = MimicryFunctor(f, f, o, {}, {}, {})
+            assert check_functor_laws(fast) == sweep_functor_laws(replace(fast, target=oracle))
+        o = (f.n, 0)
+        fast = MimicryFunctor(f, f, o, {}, {}, {})
+        report = check_functor_laws(fast)
+        assert not report.passed
+        assert report == sweep_functor_laws(replace(fast, target=oracle))
+        # a run end stretched past the step where its tuple leaves the
+        # carrier, on the shorter traces: the check then sweeps as well
+        if f.n > 30:
+            continue
+        leaving = [
+            (i, role, x)
+            for i in range(f.n)
+            for role, ends in enumerate(f.run_ends[i])
+            for x, end in sorted(ends.items())
+            if end == i
+        ]
+        if leaving:
+            i, role, x = rng.choice(leaving)
+            step = list(f.run_ends[i])
+            step[role] = {**step[role], x: i + 1}
+            runs = f.run_ends[:i] + (tuple(step),) + f.run_ends[i + 1 :]
+            bad = type(f)(n=f.n, objects=f.objects, run_ends=runs)
+            report = check_functor_laws(bad)
+            assert not report.passed
+            assert report == sweep_functor_laws(bad)
+
+
+def images_for(source, target, o, rng):
+    """Per role, each source tuple to a tuple of every mapped target carrier
+    it lands in, where one exists (else to any target tuple)."""
+    components = {}
+    for r, role in enumerate(categories.FUNCTOR_ROLES):
+        seen = {}
+        for i, obj in enumerate(source.objects):
+            for x in obj.carriers()[r]:
+                seen.setdefault(x, []).append(target.objects[o[i]].carriers()[r])
+        everything = sorted({y for obj in target.objects for y in obj.carriers()[r]})
+        comp = {}
+        for x, carriers in sorted(seen.items()):
+            fits = sorted(frozenset.intersection(*carriers))
+            comp[x] = rng.choice(fits or everything or [x])
+        components[role] = comp
+    return components
+
+
+def mimicry_outcome(source, target, o, components):
+    try:
+        g = mimicry_functor(source, target, o, components)
+    except MimicryError as exc:
+        return str(exc), exc.counterexample
+    return "accepted", g.object_map, [g.component(role) for role in categories.FUNCTOR_ROLES]
+
+
+def test_step_survival_check_equals_the_arrow_loop():
+    rng = random.Random("mimicry")
+    functors = turnover_functors()
+    cases = []
+    for source, target in [(f, f) for f in functors] + list(zip(functors, reversed(functors))):
+        maps = [tuple(sorted(rng.choices(range(target.n + 1), k=source.n + 1)))]
+        if source is target:
+            maps.append(tuple(range(source.n + 1)))
+        for o in maps:
+            cases += [(source, target, o, images_for(source, target, o, rng)) for _ in range(3)]
+    # a steady source into a target whose "p" tuples are away at every odd
+    # step: images land at even steps and survive only a constant object map
+    for trips in (1, 9, 30):
+        target = functor_from_trace(out_and_back("p", "q", trips=trips))
+        for steps in (1, 4, 12):
+            source = functor_from_trace(steady_trace(("a", "b"), steps=steps))
+            o = tuple(sorted(rng.choices(range(0, target.n + 1, 2), k=steps + 1)))
+            for image in ("p", "q"):
+                components = {
+                    "input": {("a",): (image,), ("b",): ("q",)},
+                    "processing": {("a", "a"): ("p", "p")},
+                    "output": {("a",): ("p",)},
+                }
+                for object_map in (o, (0,) * len(o)):
+                    cases.append((source, target, object_map, components))
+
+    outcomes = []
+    oracle = {}
+    for source, target, o, components in cases:
+        for f in (source, target):
+            if id(f) not in oracle:
+                oracle[id(f)] = table_form(f)
+        fast = mimicry_outcome(source, target, o, components)
+        assert fast == mimicry_outcome(oracle[id(source)], oracle[id(target)], o, components)
+        outcomes.append(fast[0])
+    survive = {m for m in outcomes if "image does not survive" in m}
+    assert outcomes.count("accepted") >= 20
+    assert len(survive) >= 5  # distinct counterexamples

@@ -101,6 +101,12 @@ def test_bad_inputs_exit_three(small_traces, tmp_path, capsys):
             code, _, err = run_cli(capsys, "run", "--scenario", scenario, *argv,
                                    "--out", str(tmp_path / "x.trace"))
             assert code == 3 and "seed must be >= 0" in err, (scenario, argv)
+    # the off scenario reads no knob but refuses a bad config all the same
+    for line, message in (("seed = -1", "seed must be >= 0"), ("noise = 5", "noise must lie")):
+        cfg.write_text(line + "\n")
+        code, _, err = run_cli(capsys, "run", "--scenario", "off", "--config", str(cfg),
+                               "--out", str(tmp_path / "x.trace"))
+        assert code == 3 and message in err, line
     # a key given twice must not keep its last value
     cfg.write_text("trials = 4\ntrials = 6\n")
     code, _, err = run_cli(capsys, "run", "--scenario", "aplysia", "--config", str(cfg),
@@ -158,6 +164,23 @@ def test_bad_inputs_exit_three(small_traces, tmp_path, capsys):
     code, _, err = run_cli(capsys, "mimic-check", "--source", str(small_traces["aplysia"]),
                            "--target", str(small_traces["hebbian"]), "--map", str(float_version))
     assert code == 3 and "unsupported mapping version 1.0" in err
+
+
+def test_a_bad_mapping_is_refused_before_any_functor_is_built(
+    small_traces, tmp_path, capsys, monkeypatch
+):
+    built = []
+    monkeypatch.setattr("mindsets.cli.functor_from_trace", built.append)
+    version_two = tmp_path / "version_two.json"
+    version_two.write_text(json.dumps({**default_mimicry_mapping(), "version": 2}))
+    for mapping, message in (
+        (tmp_path / "none.json", "No such file"),
+        (version_two, "unsupported mapping version 2"),
+    ):
+        code, _, err = run_cli(capsys, "mimic-check", "--source", str(small_traces["aplysia"]),
+                               "--target", str(small_traces["hebbian"]), "--map", str(mapping))
+        assert code == 3 and message in err, mapping
+    assert built == []
 
 
 def test_usage_errors_exit_two(capsys):
