@@ -23,23 +23,24 @@ full table, O(n^2) morphisms, is built only when `table()` is read: by the
 oracles and by hand-built functors, which hold a table instead.
 
 Law checking is extensional, so every report can name the object, arrow or
-triple that broke. On a trace functor `check_functor_laws` makes one linear
-pass that checks the run ends against the objects, which is the
-factorisation through the steps; a mimicry functor into a trace functor
-needs only its object map to be monotone and in range on top of that. A
-table passes once every arrow i <= j is present, with the right endpoints
-and identities on the diagonal, and each arrow factors through its last
-step: (i, k) = (i, k-1) ; (k-1, k). By induction each arrow is then the
-composite of its steps, and associativity of partial maps makes every
-triple commute. Only when those checks fail does it fall back to the sweep
-over all triples i <= j <= k of the table, `sweep_functor_laws`, which is
-its oracle and names every broken triple. Mimicry validation likewise checks
-only the steps of two trace functors, and runs its loop over all arrows,
-which names the first counterexample, only when a step fails.
+triple that broke. Along a monotone, in-range object map into a trace
+functor the pullback is run-encoded too, and `check_functor_laws` checks
+run ends in one linear pass for the law condition, which is the
+factorisation through the steps. A table passes once every arrow i <= j is
+present, with the right endpoints and identities on the diagonal, and each
+arrow factors through its last step: (i, k) = (i, k-1) ; (k-1, k). By
+induction each arrow is then the composite of its steps, and associativity
+of partial maps makes every triple commute. Only when those checks fail
+does it fall back to the sweep over all triples i <= j <= k of the table,
+`sweep_functor_laws`, which is its oracle and names every broken triple.
+Mimicry validation likewise checks only the steps of two run-encoded
+functors, and runs its loop over all arrows, which names the first
+counterexample, only when a step fails.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
@@ -358,19 +359,23 @@ def _pullback(g: MimicryFunctor) -> TimeFunctor:
     """The time functor over g's source steps that sends step i to target
     object o(i) and arrow (i, j) to the target's arrow (o(i), o(j)).
 
-    Arrows the target lacks are left out, so the law sweep reports them.
+    Along a monotone o in range, run ends pull back to run ends: a tuple of
+    target carrier o(i) whose run end there is R runs to the last step j
+    with o(j) <= R. Otherwise the table is pulled back, leaving out arrows
+    the target lacks, so the law sweep reports them.
     """
-    o = g.object_map
-    tgt_table = g.target.table()
-    return TimeFunctor(
-        n=len(o) - 1,
-        objects=tuple(g.target.objects[x] for x in o),
-        morphism_table={
-            (i, j): tgt_table[(o[i], o[j])]
-            for i, j in _arrows(len(o))
-            if (o[i], o[j]) in tgt_table
-        },
-    )
+    o, tgt = g.object_map, g.target
+    objects = tuple(tgt.objects[x] for x in o)
+    if tgt.run_ends is not None and all(0 <= x <= tgt.n for x in o) and sorted(o) == list(o):
+        runs = tuple(
+            tuple({y: bisect_right(o, end) - 1 for y, end in ends.items()} for ends in step)
+            for step in (tgt.run_ends[x] for x in o)
+        )
+        return TimeFunctor(n=len(o) - 1, objects=objects, run_ends=runs)
+    tgt_table = tgt.table()
+    pulled = {(i, j): (o[i], o[j]) for i, j in _arrows(len(o))}
+    table = {a: tgt_table[b] for a, b in pulled.items() if b in tgt_table}
+    return TimeFunctor(n=len(o) - 1, objects=objects, morphism_table=table)
 
 
 def mimicry_functor(
@@ -466,15 +471,17 @@ def _check_every_arrow(source, target, o: tuple[int, ...], components) -> None:
 
 
 def _images_survive_steps(source, target, o: tuple[int, ...], components) -> bool:
-    """Whether both categories are trace functors whose run ends hold and
-    each tuple present at source steps k and k+1 has an image whose target
+    """Whether both categories hold run ends that meet the laws and each
+    tuple whose source run end at step k passes k has an image whose target
     run end at o(k) reaches o(k+1).
 
     Needs components total on the source carriers and landing in the mapped
     carriers. Every arrow is then a partial identity, so a square commutes
-    once its image survives. A tuple surviving (i, j) is present at each
-    step between, o is monotone, and the images' runs over the steps chain
-    from o(i) to o(j). So this passes exactly when the arrow loop does.
+    once its image survives. A tuple surviving (i, j) has the same run end,
+    beyond the step, at each step from i to j-1; o is monotone, and each
+    image's run end, once it reaches past o(k), is kept at o(k+1), so the
+    steps chain from o(i) to o(j). So this passes exactly when the arrow
+    loop does.
     """
     if not (_runs_hold(source) and _runs_hold(target)):
         return False
@@ -499,7 +506,8 @@ def compose_functors(first, second):
     """Diagrammatic composition: apply `first`, then `second`.
 
     A time functor composed with a mimicry functor yields a time functor
-    into the mimicry's target; two mimicry functors compose into one. The
+    into the mimicry's target, its pullback: run-encoded, with no table,
+    when the target is; two mimicry functors compose into one. The
     categories must actually meet in the middle; nothing is reordered.
     """
     if isinstance(first, TimeFunctor) and isinstance(second, MimicryFunctor):
@@ -622,14 +630,17 @@ def sweep_functor_laws(f) -> LawReport:
 
 
 def _runs_hold(f) -> bool:
-    """Whether `f` is a trace functor whose run ends its objects give.
+    """Whether `f` holds run ends that meet the laws.
 
-    At each step i the run ends' keys must be carrier i, and a tuple's run
-    end must be its run end at i+1 when it is present at i+1, and i
-    otherwise. One backward pass, O(n + the carriers' sizes). Then arrow
-    (i, j) is the identity on the tuples present from i to j, so it is
+    At each step i the run ends' keys must be carrier i, no end may lie
+    below i, and an end beyond i must reappear unchanged at step i+1, so no
+    end passes n. One backward pass, O(n + the carriers' sizes). A tuple
+    whose end at i is R then stays in every carrier from i to R with that
+    end, so arrow (i, j), the identity on the tuples whose end is >= j, is
     (i, k-1) ; (k-1, k) and every law holds, as on a table that factors
-    through its steps.
+    through its steps. The ends need not be the longest runs: a pullback
+    ends a run at i when its tuple leaves and comes back between target
+    steps o(i) and o(i+1).
     """
     if not isinstance(f, TimeFunctor) or f.run_ends is None:
         return False
@@ -642,40 +653,22 @@ def _runs_hold(f) -> bool:
         for ends, carrier, after in zip(f.run_ends[i], f.objects[i].carriers(), later):
             if ends.keys() != carrier:
                 return False
-            if any(end != after.get(x, i) for x, end in ends.items()):
+            if any(end < i or end > i and after.get(x) != end for x, end in ends.items()):
                 return False
         later = f.run_ends[i]
     return True
 
 
-def _monotone_into(o: tuple[int, ...], target: TimeFunctor) -> bool:
-    """Whether the object map o is monotone with values in 0..target.n."""
-    return all(0 <= x <= target.n for x in o) and all(a <= b for a, b in zip(o, o[1:]))
-
-
-def _all_laws_hold(count: int) -> LawReport:
-    """A passing report over `count` objects and all C(count+2, 3) triples."""
-    return LawReport(
-        objects_checked=count, triples_checked=comb(count + 2, 3), failures=()
-    )
-
-
 def check_functor_laws(f) -> LawReport:
     """Identity and composition laws; gaps are failures too.
 
-    A trace functor whose run ends hold passes, and so does a mimicry functor
-    with a monotone, in-range object map into one: its pullback is then a
-    functor composed of two. Any other mimicry functor is checked as its
-    pullback, the time functor it induces over its source's steps. A table
-    with no gap, wrong endpoint or non-identity that factors through its
-    steps passes. A pass counts all C(n+3, 3) triples; anything else gets the
-    report of `sweep_functor_laws` on the table.
+    A mimicry functor is checked as its pullback, the time functor it
+    induces over its source's steps. Run ends that meet the laws pass, and
+    so does a table with no gap, wrong endpoint or non-identity that
+    factors through its steps. A pass counts all C(n+3, 3) triples;
+    anything else gets the report of `sweep_functor_laws` on the table.
     """
-    if isinstance(f, MimicryFunctor):
-        o = f.object_map
-        if _runs_hold(f.target) and _monotone_into(o, f.target):
-            return _all_laws_hold(len(o))
     f = _time_functor(f)
     if _runs_hold(f) or (not _arrow_failures(f) and _factors_through_steps(f)):
-        return _all_laws_hold(f.n + 1)
+        return LawReport(f.n + 1, comb(f.n + 3, 3), failures=())
     return sweep_functor_laws(f)

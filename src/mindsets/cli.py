@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import cache
 
 from .categories import (
     MimicryError,
@@ -172,10 +173,15 @@ _COMMANDS = {
 }
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every `main` call shares: building it costs far more than a parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

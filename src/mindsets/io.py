@@ -168,12 +168,20 @@ def _state(value, what: str) -> dict:
     return value
 
 
+def _loads(text: str, error: type[ConstructionError]):
+    """The JSON value `text` holds; text that is not JSON, or nests too deeply
+    for the parser, raises `error`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise error("invalid JSON (nested too deeply)") from None
+
+
 def _json(line: str) -> dict:
     """The JSON object one line of a trace file holds."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"invalid JSON ({exc.msg})") from None
+    obj = _loads(line, TraceFormatError)
     if not isinstance(obj, dict):
         raise TraceFormatError("expected an object")
     return obj
@@ -329,10 +337,7 @@ def default_mimicry_mapping() -> dict:
 
 def _mapping(text: str) -> dict:
     """The mapping `text` holds, with its format, version and tables checked."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MappingFormatError(f"invalid JSON ({exc.msg})") from None
+    data = _loads(text, MappingFormatError)
     if not isinstance(data, dict) or data.get("format") != MAPPING_FORMAT_NAME:
         raise MappingFormatError("not a mimicry mapping file")
     version = data.get("version")

@@ -21,6 +21,7 @@ from mindsets import (
     build_trace,
     check_functor_laws,
     classify,
+    compose_functors,
     default_mimicry_mapping,
     functor_from_trace,
     intelligence_category,
@@ -255,6 +256,25 @@ def test_shipped_mimicry_mapping(stamp):
     ok = laws.passed and rejected is not None and rejected.counterexample is not None
     stamp("mimicry", ok, time.perf_counter() - started, 5,
           f"shipped mapping passes laws; mutation rejected at {getattr(rejected, 'counterexample', None)}")
+
+
+def test_composite_of_a_long_pair(stamp):
+    # a time functor followed by a mimicry functor pulls run ends back as run
+    # ends, so neither the composite nor its law check builds an n^2 table
+    started = time.perf_counter()
+    source = functor_from_trace(generate("aplysia", trials=200, test_count=50).trace)
+    target = functor_from_trace(generate("hebbian", trials=200, test_count=50).trace)
+    data = default_mimicry_mapping()
+    functor = mimicry_functor(
+        source, target, mapping_object_map(data, source.n + 1), mapping_components(data)
+    )
+    built = time.perf_counter()
+    composite = compose_functors(source, functor)
+    laws = check_functor_laws(composite)
+    alone = time.perf_counter() - built
+    ok = source.n == 750 and laws.passed and laws.objects_checked == 751 and alone < 1
+    stamp("composite-at-scale", ok, time.perf_counter() - started, 3,
+          f"aplysia/hebbian {source.n} steps: compose and law check {alone:.2f}s (bar 1 s)")
 
 
 def test_learning_reaches_the_oracle_bar(stamp):

@@ -706,15 +706,24 @@ def test_run_encoded_arrows_equal_the_intersection_build():
         assert f == table_form(f) and table_form(f) == f
 
 
+def with_run_end(f, i, role, x, end):
+    """`f` with the run end of tuple `x` at step `i` set by hand."""
+    step = list(f.run_ends[i])
+    step[role] = {**step[role], x: end}
+    runs = f.run_ends[:i] + (tuple(step),) + f.run_ends[i + 1 :]
+    return type(f)(n=f.n, objects=f.objects, run_ends=runs)
+
+
 def test_run_end_check_equals_the_sweep_on_the_table_form():
     rng = random.Random("run ends")
     for f in turnover_functors():
         oracle = table_form(f)
         report = check_functor_laws(f)
         assert report.passed and report == sweep_functor_laws(oracle)
-        # pullbacks along monotone object maps, and along maps that are not
-        for length in (1, rng.randint(2, 20)):
-            o = tuple(sorted(rng.choices(range(f.n + 1), k=length)))
+        # pullbacks along monotone object maps, a constant one among them,
+        # and along maps that are not
+        maps = [tuple(sorted(rng.choices(range(f.n + 1), k=k))) for k in (1, rng.randint(2, 20))]
+        for o in maps + [(rng.randint(0, f.n),) * 5]:
             fast = MimicryFunctor(f, f, o, {}, {}, {})
             assert check_functor_laws(fast) == sweep_functor_laws(replace(fast, target=oracle))
         o = (f.n, 0)
@@ -722,26 +731,68 @@ def test_run_end_check_equals_the_sweep_on_the_table_form():
         report = check_functor_laws(fast)
         assert not report.passed
         assert report == sweep_functor_laws(replace(fast, target=oracle))
-        # a run end stretched past the step where its tuple leaves the
-        # carrier, on the shorter traces: the check then sweeps as well
+        # hand-set run ends on the shorter traces: one stretched past the
+        # step where its tuple leaves the carrier, and one below its step
+        # where its tuple's run starts, so that no other end disagrees; the
+        # run-end pass refuses both, and the check then sweeps as well
         if f.n > 30:
             continue
-        leaving = [
-            (i, role, x)
-            for i in range(f.n)
+        carried = [
+            (i, role, x, end)
+            for i in range(f.n + 1)
             for role, ends in enumerate(f.run_ends[i])
             for x, end in sorted(ends.items())
-            if end == i
         ]
-        if leaving:
-            i, role, x = rng.choice(leaving)
-            step = list(f.run_ends[i])
-            step[role] = {**step[role], x: i + 1}
-            runs = f.run_ends[:i] + (tuple(step),) + f.run_ends[i + 1 :]
-            bad = type(f)(n=f.n, objects=f.objects, run_ends=runs)
-            report = check_functor_laws(bad)
-            assert not report.passed
-            assert report == sweep_functor_laws(bad)
+        leaving = [(i, role, x, i + 1) for i, role, x, end in carried if end == i < f.n]
+        below = [
+            (i, role, x, i - 1)
+            for i, role, x, _ in carried
+            if i == 0 or f.run_ends[i - 1][role].get(x, i - 1) < i
+        ]
+        for hand_set in (leaving, below):
+            if hand_set:
+                bad = with_run_end(f, *rng.choice(hand_set))
+                report = check_functor_laws(bad)
+                assert not report.passed
+                assert report == sweep_functor_laws(bad)
+
+
+def composite_cases():
+    """Each shorter turnover functor, composed with a hand-built mimicry
+    functor into itself or into any turnover functor along random monotone,
+    constant and identity object maps, beside its oracle: the table pullback
+    of the same mimicry functor into its target's table form."""
+    rng = random.Random("composites")
+    functors = turnover_functors()
+    tables = {id(f): table_form(f) for f in functors}
+    cases = []
+    for source in (f for f in functors if f.n <= 30):
+        for target in functors:
+            count = source.n + 1
+            maps = [
+                tuple(sorted(rng.choices(range(target.n + 1), k=count))),
+                (rng.randint(0, target.n),) * count,
+            ]
+            if source is target:
+                maps.append(tuple(range(count)))
+            for o in maps:
+                g = MimicryFunctor(source, target, o, {}, {}, {})
+                oracle = compose_functors(source, replace(g, target=tables[id(target)]))
+                cases.append((compose_functors(source, g), oracle))
+    return cases
+
+
+def test_composites_hold_run_ends_equal_to_the_table_pullback():
+    early = 0
+    for composite, oracle in composite_cases():
+        assert composite.run_ends is not None and oracle.run_ends is None
+        assert composite == oracle and oracle == composite
+        assert composite.table() == oracle.table()
+        assert check_functor_laws(composite) == sweep_functor_laws(oracle)
+        # a tuple that leaves and comes back between two mapped target
+        # steps ends its run early, so these run ends are not maximal
+        early += composite != table_form(composite)
+    assert early >= 5
 
 
 def images_for(source, target, o, rng):
@@ -770,6 +821,17 @@ def mimicry_outcome(source, target, o, components):
     return "accepted", g.object_map, [g.component(role) for role in categories.FUNCTOR_ROLES]
 
 
+def longest_runs(f):
+    """`f`'s objects with the run ends a trace would give them: each tuple's
+    run reaches as far as its presence does."""
+    runs, later = [], ({},) * len(categories.FUNCTOR_ROLES)
+    for i in range(f.n, -1, -1):
+        carriers = f.objects[i].carriers()
+        later = tuple({x: ends.get(x, i) for x in c} for c, ends in zip(carriers, later))
+        runs.append(later)
+    return type(f)(n=f.n, objects=f.objects, run_ends=tuple(reversed(runs)))
+
+
 def test_step_survival_check_equals_the_arrow_loop():
     rng = random.Random("mimicry")
     functors = turnover_functors()
@@ -795,9 +857,27 @@ def test_step_survival_check_equals_the_arrow_loop():
                 }
                 for object_map in (o, (0,) * len(o)):
                     cases.append((source, target, object_map, components))
+    # composites as source and target: their run ends need not be the
+    # longest, and their oracle is the table pullback. The same objects with
+    # the longest runs go into each composite and back, each tuple its own
+    # image, so that only survival can fail.
+    oracle = {}
+    first_composite = len(cases)
+    for composite, table_pullback in composite_cases():
+        oracle[id(composite)] = table_pullback
+        other = rng.choice(functors)
+        for source, target in ((composite, other), (other, composite)):
+            o = tuple(sorted(rng.choices(range(target.n + 1), k=source.n + 1)))
+            cases.append((source, target, o, images_for(source, target, o, rng)))
+        longest = longest_runs(composite)
+        own = {
+            role: {x: x for obj in composite.objects for x in obj.carrier(role)}
+            for role in categories.FUNCTOR_ROLES
+        }
+        o = tuple(range(composite.n + 1))
+        cases += [(longest, composite, o, own), (composite, longest, o, own)]
 
     outcomes = []
-    oracle = {}
     for source, target, o, components in cases:
         for f in (source, target):
             if id(f) not in oracle:
@@ -805,6 +885,7 @@ def test_step_survival_check_equals_the_arrow_loop():
         fast = mimicry_outcome(source, target, o, components)
         assert fast == mimicry_outcome(oracle[id(source)], oracle[id(target)], o, components)
         outcomes.append(fast[0])
-    survive = {m for m in outcomes if "image does not survive" in m}
-    assert outcomes.count("accepted") >= 20
-    assert len(survive) >= 5  # distinct counterexamples
+    for some in (outcomes[:first_composite], outcomes[first_composite:]):
+        survive = {m for m in some if "image does not survive" in m}
+        assert some.count("accepted") >= 20
+        assert len(survive) >= 5  # distinct counterexamples

@@ -165,6 +165,19 @@ def test_bad_inputs_exit_three(small_traces, tmp_path, capsys):
                            "--target", str(small_traces["hebbian"]), "--map", str(float_version))
     assert code == 3 and "unsupported mapping version 1.0" in err
 
+    # JSON nested deeper than the parser can recurse, in a trace line and a mapping
+    deep = "[" * 200_000 + "]" * 200_000
+    nested = tmp_path / "nested.trace"
+    nested.write_text("\n".join([lines[0], deep] + lines[2:]) + "\n")
+    code, _, err = run_cli(capsys, "classify", "--trace", str(nested))
+    assert code == 3 and err.count("line ") == 1
+    assert "line 2: invalid JSON (nested too deeply)" in err
+    nested = tmp_path / "nested.json"
+    nested.write_text(deep)
+    code, _, err = run_cli(capsys, "mimic-check", "--source", str(small_traces["aplysia"]),
+                           "--target", str(small_traces["hebbian"]), "--map", str(nested))
+    assert code == 3 and "error: invalid JSON (nested too deeply)" in err
+
 
 def test_a_bad_mapping_is_refused_before_any_functor_is_built(
     small_traces, tmp_path, capsys, monkeypatch
@@ -181,6 +194,28 @@ def test_a_bad_mapping_is_refused_before_any_functor_is_built(
                                "--target", str(small_traces["hebbian"]), "--map", str(mapping))
         assert code == 3 and message in err, mapping
     assert built == []
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    trace = str(tmp_path / "off.trace")
+    sequence = [
+        ("run", "--scenario", "psychic", "--out", trace),
+        ("run", "--scenario", "off", "--steps", "6", "--out", trace),
+        ("--help",),
+        ("classify", "--trace", trace, "--window", "2"),
+        ("classify", "--trace", trace),
+        ("activity", "--help"),
+        ("activity", "--trace", trace, "--window", "1:4", "--mode", "element"),
+        (),
+        ("functor-check", "--trace", trace),
+        ("classify", "--trace", str(tmp_path / "none.trace")),
+        ("report", "--trace", trace),
+    ]
+    shared = [run_cli(capsys, *argv) for argv in sequence]
+    monkeypatch.setattr("mindsets.cli._parser", mindsets.cli.build_parser)
+    fresh = [run_cli(capsys, *argv) for argv in sequence]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0, 2, 1, 0, 0, 2, 0, 3, 0]
 
 
 def test_usage_errors_exit_two(capsys):
