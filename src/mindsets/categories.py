@@ -33,9 +33,9 @@ induction each arrow is then the composite of its steps, and associativity
 of partial maps makes every triple commute. Only when those checks fail
 does it fall back to the sweep over all triples i <= j <= k of the table,
 `sweep_functor_laws`, which is its oracle and names every broken triple.
-Mimicry validation likewise checks only the steps of two run-encoded
-functors, and runs its loop over all arrows, which names the first
-counterexample, only when a step fails.
+Mimicry validation between two run-encoded functors reads each tuple's run
+end once and names the first counterexample of its oracle, the loop over
+all arrows of the two tables, which checks hand-built functors.
 """
 
 from __future__ import annotations
@@ -388,11 +388,12 @@ def mimicry_functor(
 
     Checks, in order: all three component maps present; object map total,
     in range, and monotone; components total on every source carrier and
-    landing in the mapped object's carrier of the same role; every source
-    arrow (i, j) present, with the target's (o(i), o(j)) present too;
-    commutation with time evolution (a tuple that survives from i to j in
-    the source must have an image surviving from o(i) to o(j) in the
-    target, and the two paths around the square must agree).
+    landing in the mapped object's carrier of the same role; commutation
+    with time evolution (a tuple that survives from i to j in the source
+    must have an image surviving from o(i) to o(j) in the target, and the
+    two paths around the square must agree). Two functors whose run ends
+    hold are checked once per tuple; otherwise each source arrow (i, j) and
+    the target's (o(i), o(j)) must be present, and each square is checked.
     """
     for role in FUNCTOR_ROLES:
         if role not in components:
@@ -405,14 +406,10 @@ def mimicry_functor(
         )
     for i, oi in enumerate(o):
         if not (0 <= oi < len(target.objects)):
-            raise MimicryError(
-                "object map leaves the target", counterexample=(i, oi)
-            )
+            raise MimicryError("object map leaves the target", counterexample=(i, oi))
     for i in range(len(o) - 1):
         if o[i] > o[i + 1]:
-            raise MimicryError(
-                "object map is not monotone", counterexample=(i, i + 1)
-            )
+            raise MimicryError("object map is not monotone", counterexample=(i, i + 1))
 
     for i, obj in enumerate(source.objects):
         for role in FUNCTOR_ROLES:
@@ -430,9 +427,9 @@ def mimicry_functor(
                         counterexample=(i, role, x, comp[x]),
                     )
 
-    # two trace functors need only their steps checked; when a step fails,
-    # the loop over all arrows names the first counterexample
-    if not _images_survive_steps(source, target, o, components):
+    if _runs_hold(source) and _runs_hold(target):
+        _check_run_ends(source, target, o, components)
+    else:
         _check_every_arrow(source, target, o, components)
 
     # copies, so the caller's later edits cannot reach a validated functor
@@ -470,28 +467,30 @@ def _check_every_arrow(source, target, o: tuple[int, ...], components) -> None:
                     )
 
 
-def _images_survive_steps(source, target, o: tuple[int, ...], components) -> bool:
-    """Whether both categories hold run ends that meet the laws and each
-    tuple whose source run end at step k passes k has an image whose target
-    run end at o(k) reaches o(k+1).
+def _check_run_ends(source, target, o: tuple[int, ...], components) -> None:
+    """Raise what `_check_every_arrow` raises first, from run ends that hold and
+    components total on the source carriers and landing in the mapped ones.
 
-    Needs components total on the source carriers and landing in the mapped
-    carriers. Every arrow is then a partial identity, so a square commutes
-    once its image survives. A tuple surviving (i, j) has the same run end,
-    beyond the step, at each step from i to j-1; o is monotone, and each
-    image's run end, once it reaches past o(k), is kept at o(k+1), so the
-    steps chain from o(i) to o(j). So this passes exactly when the arrow
-    loop does.
+    Every arrow is then a partial identity, so only survival can fail: tuple x
+    of carrier i with run end e survives (i, j) while j <= e, and its image,
+    with run end R at o(i), survives (o(i), o(j)) while o(j) <= R. As o is
+    monotone, the image is lost when o(e) > R, first at j = bisect_right(o, R).
     """
-    if not (_runs_hold(source) and _runs_hold(target)):
-        return False
     maps = [components[role] for role in FUNCTOR_ROLES]
-    for k in range(len(o) - 1):
-        reach = o[k + 1]
-        for ends, images, comp in zip(source.run_ends[k], target.run_ends[o[k]], maps):
-            if any(end > k and images[comp[x]] < reach for x, end in ends.items()):
-                return False
-    return True
+    for i, ends in enumerate(source.run_ends):
+        images = target.run_ends[o[i]]
+        lost = [
+            (bisect_right(o, images[r][comp[x]]), r, x)
+            for r, comp in enumerate(maps)
+            for x, e in ends[r].items()
+            if o[e] > images[r][comp[x]]
+        ]
+        if lost:  # the loop's order: least j, then role, then tuple
+            j, r, x = min(lost)
+            role = FUNCTOR_ROLES[r]
+            raise MimicryError(
+                f"{role} image does not survive in the target", counterexample=(i, j, role, x)
+            )
 
 
 def identity_functor(cat: IntelligenceCategory) -> MimicryFunctor:

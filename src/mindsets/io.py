@@ -8,12 +8,14 @@ with the offending step named. The field checks say what is wrong, never
 where: `read_trace`'s one handler prefixes "line N:", `load_config` names
 its lines, and the mapping readers turn a failed check into their own
 message. All serialization sorts rosters, movers, and keys, which makes
-equal traces produce byte-identical files.
+equal traces produce byte-identical files. A trace file holds finite
+numbers only, and a list that is read into a set lists each entry once.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from importlib import resources
@@ -62,7 +64,8 @@ class MappingFormatError(ConstructionError):
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Compact sorted JSON; a number that is not finite raises ValueError."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _declaration_to_dict(d: StructureRelation) -> dict:
@@ -100,9 +103,14 @@ def trace_to_text(t: Trace) -> str:
         "declarations": [_declaration_to_dict(d) for d in t.declarations],
         "phases": [[p.label, p.start, p.stop] for p in t.phases],
     }
-    lines = [_dumps(header)]
-    for i, step_events in enumerate(t.events):
-        lines.append(_dumps({"step": i, "events": [_event_to_dict(e) for e in step_events]}))
+    lines = []
+    try:
+        lines.append(_dumps(header))
+        for i, step_events in enumerate(t.events):
+            lines.append(_dumps({"step": i, "events": [_event_to_dict(e) for e in step_events]}))
+    except ValueError:
+        where = f"step {len(lines) - 1}: a state update" if lines else "an initial state"
+        raise ConstructionError(f"{where} holds a number that is not finite") from None
     return "\n".join(lines) + "\n"
 
 
@@ -154,6 +162,16 @@ def _texts(value, what: str) -> list[str]:
     return [_text(v, f"{what} entry") for v in _list(value, what)]
 
 
+def _set(entries: list, what: str) -> frozenset:
+    """The entries of a list that stands for a set; an entry listed twice is
+    refused, the sorted-first one named, since the set would drop it."""
+    found = frozenset(entries)
+    if len(found) < len(entries):
+        twice = min(e for e, count in Counter(entries).items() if count > 1)
+        raise TraceFormatError(f"{what} lists {twice!r} twice")
+    return found
+
+
 def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise _FieldError(what, "an object")
@@ -168,13 +186,38 @@ def _state(value, what: str) -> dict:
     return value
 
 
-def _loads(text: str, error: type[ConstructionError]):
-    """The JSON value `text` holds; text that is not JSON, or nests too deeply
-    for the parser, raises `error`."""
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} listed twice")
+        obj[key] = value
+    return obj
+
+
+# one decoder each, built once: keyword arguments to json.loads build one per call
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+_MAPPING_DECODER = json.JSONDecoder(
+    parse_constant=_refuse_constant, object_pairs_hook=_unique_keys
+)
+
+
+def _loads(text: str, error: type[ConstructionError], decoder=_DECODER):
+    """The JSON value `text` holds; text that is not JSON, holds NaN or an
+    infinity, nests too deeply for the parser or, for `decoder`'s hook, lists
+    a key twice, raises `error`."""
+    if text.startswith("\ufeff"):  # as json.loads refuses it
+        raise error("invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))")
     try:
-        return json.loads(text)
+        return decoder.decode(text)
     except json.JSONDecodeError as exc:
         raise error(f"invalid JSON ({exc.msg})") from None
+    except ValueError as exc:  # from a hook, or an integer too long to convert
+        raise error(f"invalid JSON ({exc})") from None
     except RecursionError:
         raise error("invalid JSON (nested too deeply)") from None
 
@@ -210,16 +253,17 @@ def _header(line: str) -> tuple[Snapshot, list[StructureRelation], list[Phase]]:
     declarations = []
     for d in _list(header["declarations"], "declarations"):
         did = _text(_object(d, "declaration")["id"], "declaration id")
+        tuples = f"tuples of {did!r}"
         declarations.append(
             StructureRelation(
                 id=did,
                 role=d["role"],
                 arity=_integer(d["arity"], f"arity of {did!r}"),
-                tuples=frozenset(
-                    tuple(_texts(t, f"tuple of {did!r}"))
-                    for t in _list(d["tuples"], f"tuples of {did!r}")
+                tuples=_set(
+                    [tuple(_texts(t, f"tuple of {did!r}")) for t in _list(d["tuples"], tuples)],
+                    tuples,
                 ),
-                scope=frozenset(_texts(d["scope"], f"scope of {did!r}")),
+                scope=_set(_texts(d["scope"], f"scope of {did!r}"), f"scope of {did!r}"),
                 factors=tuple(_texts(d["factors"], f"factors of {did!r}")),
             )
         )
@@ -235,7 +279,7 @@ def _header(line: str) -> tuple[Snapshot, list[StructureRelation], list[Phase]]:
 def _event(e, step: int) -> TransferEvent:
     e = _object(e, "event")
     kind = _text(e["kind"], "kind")
-    moved = _texts(e["moved"], "moved")
+    moved = _set(_texts(e["moved"], "moved"), "moved")
     from_region = _text(e["from"], "from")
     to_region = _text(e["to"], "to")
     via = None if e["via"] is None else _text(e["via"], "via")
@@ -337,7 +381,7 @@ def default_mimicry_mapping() -> dict:
 
 def _mapping(text: str) -> dict:
     """The mapping `text` holds, with its format, version and tables checked."""
-    data = _loads(text, MappingFormatError)
+    data = _loads(text, MappingFormatError, _MAPPING_DECODER)
     if not isinstance(data, dict) or data.get("format") != MAPPING_FORMAT_NAME:
         raise MappingFormatError("not a mimicry mapping file")
     version = data.get("version")

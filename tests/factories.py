@@ -3,7 +3,9 @@
 `random_trace` draws small universes and schedules for fuzzing. Steps keep
 their events' region footprints pairwise disjoint, matching the discipline
 the library's own generators follow; the oracle-equivalence argument leans
-on that, so the factory is the place where it is enforced.
+on that, so the factory is the place where it is enforced. `out_and_back`
+and `steady_trace` stage carriers that blink or stay put, for the functor
+and mimicry checks.
 """
 
 from __future__ import annotations
@@ -143,6 +145,65 @@ def random_trace(
         region_side,
     )
     return build_trace(initial, schedule, phases, declarations)
+
+
+REGION_SIDE = {"lab": "environment", "core": "system", "sink": "system"}
+
+
+def ev(step, kind, moved, src, dst):
+    return TransferEvent.make(
+        step=step, kind=kind, moved=frozenset(moved), from_region=src, to_region=dst
+    )
+
+
+def declarations_over(elements, scope=("core", "sink")):
+    """One structure per role; input holds all singletons, the others are
+    kept single-tuple so carrier changes are easy to stage."""
+    first = sorted(elements)[0]
+    return [
+        StructureRelation(id="accepting", role="input", arity=1,
+                          tuples=frozenset((e,) for e in elements),
+                          scope=frozenset(scope)),
+        StructureRelation(id="routing", role="processing", arity=2,
+                          tuples=frozenset({(first, first)}),
+                          scope=frozenset(scope)),
+        StructureRelation(id="emitting", role="output", arity=1,
+                          tuples=frozenset({(first,)}),
+                          scope=frozenset(scope)),
+    ]
+
+
+def out_and_back(wanderer, bystander, extra_steps=0, trips=1):
+    """`wanderer` leaves at step 0 and returns at step 1, `trips` times over;
+    carriers blink."""
+    s0 = make_snapshot(
+        [(wanderer, None), (bystander, None)],
+        {wanderer: "core", bystander: "core"},
+        dict(REGION_SIDE),
+    )
+    schedule = []
+    for trip in range(trips):
+        schedule.append([ev(2 * trip, EXTERNAL_OUT, (wanderer,), "core", "lab")])
+        schedule.append([ev(2 * trip + 1, EXTERNAL_IN, (wanderer,), "lab", "core")])
+    schedule.extend([] for _ in range(extra_steps))
+    return build_trace(
+        s0, schedule, declarations=declarations_over((wanderer, bystander))
+    )
+
+
+def steady_trace(names, steps=2):
+    """Carrier elements never move; a courier shuttles to make real steps."""
+    rows = [(n, None) for n in names] + [("courier", None)]
+    membership = {n: "core" for n in names}
+    membership["courier"] = "lab"
+    s0 = make_snapshot(rows, membership, dict(REGION_SIDE))
+    schedule = []
+    for i in range(steps):
+        src, dst, kind = (
+            ("lab", "core", EXTERNAL_IN) if i % 2 == 0 else ("core", "lab", EXTERNAL_OUT)
+        )
+        schedule.append([ev(i, kind, ("courier",), src, dst)])
+    return build_trace(s0, schedule, declarations=declarations_over(names))
 
 
 def nearest_centroid_predictions(

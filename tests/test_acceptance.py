@@ -40,7 +40,13 @@ from mindsets import (
     EXTERNAL_OUT,
 )
 
-from factories import nearest_centroid_predictions, random_trace, scenario_patterns
+from factories import (
+    nearest_centroid_predictions,
+    out_and_back,
+    random_trace,
+    scenario_patterns,
+    steady_trace,
+)
 
 SCENARIOS = ("hebbian", "backprop", "aplysia", "sandpile", "off")
 
@@ -275,6 +281,30 @@ def test_composite_of_a_long_pair(stamp):
     ok = source.n == 750 and laws.passed and laws.objects_checked == 751 and alone < 1
     stamp("composite-at-scale", ok, time.perf_counter() - started, 3,
           f"aplysia/hebbian {source.n} steps: compose and law check {alone:.2f}s (bar 1 s)")
+
+
+def test_rejection_of_a_long_blinking_image(stamp):
+    # a steady source mapped i -> 2i into a trace whose image tuple is away
+    # at every odd step: the rejection names the first arrow from run ends,
+    # with no n^2 table of either functor
+    started = time.perf_counter()
+    source = functor_from_trace(steady_trace(("a", "b"), steps=375))
+    target = functor_from_trace(out_and_back("p", "q", trips=375))
+    components = {
+        "input": {("a",): ("p",), ("b",): ("q",)},
+        "processing": {("a", "a"): ("p", "p")},
+        "output": {("a",): ("p",)},
+    }
+    built = time.perf_counter()
+    rejected = None
+    try:
+        mimicry_functor(source, target, tuple(range(0, 751, 2)), components)
+    except MimicryError as exc:
+        rejected = exc.counterexample
+    alone = time.perf_counter() - built
+    ok = target.n == 750 and rejected == (0, 1, "input", ("a",)) and alone < 0.5
+    stamp("mimicry-rejection-at-scale", ok, time.perf_counter() - started, 3,
+          f"{source.n} into {target.n} steps rejected at {rejected} in {alone:.2f}s (bar 0.5 s)")
 
 
 def test_learning_reaches_the_oracle_bar(stamp):

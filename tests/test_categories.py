@@ -1,5 +1,6 @@
 """Time category, trace-induced functors, law checking, and mimicry."""
 
+import json
 import random
 from dataclasses import replace
 from functools import cache
@@ -18,7 +19,6 @@ from mindsets import (
     ScenarioConfig,
     StructureRelation,
     TimeMorphism,
-    TransferEvent,
     build_trace,
     check_functor_laws,
     compose_functors,
@@ -34,53 +34,18 @@ from mindsets import (
     mimicry_functor,
     sweep_functor_laws,
     time_category,
+    trace_to_text,
 )
+from mindsets.cli import main
 
-from factories import random_trace
-
-REGION_SIDE = {"lab": "environment", "core": "system", "sink": "system"}
-
-
-def ev(step, kind, moved, src, dst):
-    return TransferEvent.make(
-        step=step, kind=kind, moved=frozenset(moved), from_region=src, to_region=dst
-    )
-
-
-def declarations_over(elements, scope=("core", "sink")):
-    """One structure per role; input holds all singletons, the others are
-    kept single-tuple so carrier changes are easy to stage."""
-    first = sorted(elements)[0]
-    return [
-        StructureRelation(id="accepting", role="input", arity=1,
-                          tuples=frozenset((e,) for e in elements),
-                          scope=frozenset(scope)),
-        StructureRelation(id="routing", role="processing", arity=2,
-                          tuples=frozenset({(first, first)}),
-                          scope=frozenset(scope)),
-        StructureRelation(id="emitting", role="output", arity=1,
-                          tuples=frozenset({(first,)}),
-                          scope=frozenset(scope)),
-    ]
-
-
-def out_and_back(wanderer, bystander, extra_steps=0, trips=1):
-    """`wanderer` leaves at step 0 and returns at step 1, `trips` times over;
-    carriers blink."""
-    s0 = make_snapshot(
-        [(wanderer, None), (bystander, None)],
-        {wanderer: "core", bystander: "core"},
-        dict(REGION_SIDE),
-    )
-    schedule = []
-    for trip in range(trips):
-        schedule.append([ev(2 * trip, EXTERNAL_OUT, (wanderer,), "core", "lab")])
-        schedule.append([ev(2 * trip + 1, EXTERNAL_IN, (wanderer,), "lab", "core")])
-    schedule.extend([] for _ in range(extra_steps))
-    return build_trace(
-        s0, schedule, declarations=declarations_over((wanderer, bystander))
-    )
-
+from factories import (
+    REGION_SIDE,
+    declarations_over,
+    ev,
+    out_and_back,
+    random_trace,
+    steady_trace,
+)
 
 # --- time category -----------------------------------------------------
 
@@ -503,21 +468,6 @@ def test_law_check_rejects_other_values():
 # --- mimicry -------------------------------------------------------------
 
 
-def steady_trace(names, steps=2):
-    """Carrier elements never move; a courier shuttles to make real steps."""
-    rows = [(n, None) for n in names] + [("courier", None)]
-    membership = {n: "core" for n in names}
-    membership["courier"] = "lab"
-    s0 = make_snapshot(rows, membership, dict(REGION_SIDE))
-    schedule = []
-    for i in range(steps):
-        src, dst, kind = (
-            ("lab", "core", EXTERNAL_IN) if i % 2 == 0 else ("core", "lab", EXTERNAL_OUT)
-        )
-        schedule.append([ev(i, kind, ("courier",), src, dst)])
-    return build_trace(s0, schedule, declarations=declarations_over(names))
-
-
 def component_maps(pairs):
     """Per-role maps sending each source element tuple to its partner."""
     table = dict(pairs)
@@ -589,6 +539,44 @@ def test_mimicry_rejects_images_that_blink_out():
             source, target, (0, 2), component_maps([("a", "p"), ("b", "q")])
         )
     assert exc.value.counterexample == (0, 1, "input", ("a",))
+
+
+def test_run_encoded_mimicry_reads_no_table(tmp_path, monkeypatch, capsys):
+    # trace functors are checked, accepted or rejected, from their run ends
+    # alone, through the library and through the CLI
+    def no_table(self):
+        raise AssertionError("an n^2 table was built")
+
+    monkeypatch.setattr(categories.TimeFunctor, "table", no_table)
+    traces = {
+        "steady": steady_trace(("a", "b"), steps=12),
+        "blink": out_and_back("p", "q", trips=12),
+    }
+    source, target = (functor_from_trace(t) for t in traces.values())
+    components = component_maps([("a", "p"), ("b", "q")])
+    assert check_functor_laws(mimicry_functor(source, target, (0,) * 13, components)).passed
+    with pytest.raises(MimicryError, match="input image does not survive") as exc:
+        mimicry_functor(source, target, tuple(range(0, 25, 2)), components)
+    assert exc.value.counterexample == (0, 1, "input", ("a",))
+
+    paths = {name: tmp_path / f"{name}.trace" for name in traces}
+    for name, path in paths.items():
+        path.write_text(trace_to_text(traces[name]))
+        assert main(["functor-check", "--trace", str(path)]) == 0
+    pairs = {role: [[x, y] for x, y in comp.items()] for role, comp in components.items()}
+    for stride, code in ((0, 0), (2, 1)):
+        mapping = tmp_path / "mapping.json"
+        mapping.write_text(json.dumps({
+            "format": "mindsets-mimicry", "version": 1, "components": pairs,
+            "object_map": [[i, stride * i] for i in range(13)],
+        }))
+        capsys.readouterr()
+        argv = ["--source", str(paths["steady"]), "--target", str(paths["blink"])]
+        assert main(["mimic-check", *argv, "--map", str(mapping)]) == code
+    assert capsys.readouterr().out == (
+        "mapping rejected: input image does not survive in the target "
+        "(counterexample: (0, 1, 'input', ('a',)))\n"
+    )
 
 
 def test_mimicry_law_check_pinpoints_a_corrupted_target_entry():
@@ -832,6 +820,19 @@ def longest_runs(f):
     return type(f)(n=f.n, objects=f.objects, run_ends=tuple(reversed(runs)))
 
 
+def away_once(away, steps):
+    """`steps` steps over "p", "q" and "z", in scope at every step but that
+    one of each element's that `away` gives."""
+    names = ("p", "q", "z")
+    s0 = make_snapshot([(n, None) for n in names], {n: "core" for n in names}, dict(REGION_SIDE))
+    schedule = [[] for _ in range(steps)]
+    for at in set(away.values()):
+        gone = [n for n in names if away.get(n) == at]
+        schedule[at - 1] = [ev(at - 1, EXTERNAL_OUT, gone, "core", "lab")]
+        schedule[at] = [ev(at, EXTERNAL_IN, gone, "lab", "core")]
+    return build_trace(s0, schedule, declarations=declarations_over(names))
+
+
 def test_step_survival_check_equals_the_arrow_loop():
     rng = random.Random("mimicry")
     functors = turnover_functors()
@@ -857,6 +858,32 @@ def test_step_survival_check_equals_the_arrow_loop():
                 }
                 for object_map in (o, (0,) * len(o)):
                     cases.append((source, target, object_map, components))
+    # two or three roles lose images at the same step, at the same j or at
+    # different ones, the later role first or last: the processing and
+    # output images are "p"'s, the input image of "a" is "q"'s
+    draw = random.Random("two roles")
+    components = {
+        "input": {("a",): ("q",), ("b",): ("z",)},
+        "processing": {("a", "a"): ("p", "p")},
+        "output": {("a",): ("p",)},
+    }
+    for away in ({"p": 3, "q": 3}, {"p": 3, "q": 6}, {"p": 6, "q": 3}, {"p": 4}):
+        target = functor_from_trace(away_once(away, 8))
+        present = [k for k in range(9) if k not in away.values()]
+        for count in (len(present), 4, 2):
+            source = functor_from_trace(steady_trace(("a", "b"), steps=count - 1))
+            maps = [tuple(sorted(draw.choices(present, k=count))) for _ in range(2)]
+            if count == len(present):
+                maps.append(tuple(present))
+            cases += [(source, target, o, components) for o in maps]
+    for away, first in (
+        ({"p": 3, "q": 3}, (0, 3, "input", ("a",))),
+        ({"p": 3, "q": 6}, (0, 3, "processing", ("a", "a"))),
+    ):
+        target = functor_from_trace(away_once(away, 8))
+        present = tuple(k for k in range(9) if k not in away.values())
+        source = functor_from_trace(steady_trace(("a", "b"), steps=len(present) - 1))
+        assert mimicry_outcome(source, target, present, components)[1] == first
     # composites as source and target: their run ends need not be the
     # longest, and their oracle is the table pullback. The same objects with
     # the longest runs go into each composite and back, each tuple its own

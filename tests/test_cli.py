@@ -3,8 +3,10 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -107,6 +109,17 @@ def test_bad_inputs_exit_three(small_traces, tmp_path, capsys):
         code, _, err = run_cli(capsys, "run", "--scenario", "off", "--config", str(cfg),
                                "--out", str(tmp_path / "x.trace"))
         assert code == 3 and message in err, line
+    # a learning rate whose weights overflow: no trace file holds an infinity
+    cfg.write_text("learning_rate = 1e308\ntrials = 40\n")
+    for scenario in ("hebbian", "aplysia"):
+        out = tmp_path / f"{scenario}-overflow.trace"
+        with warnings.catch_warnings():  # numpy warns as the hebbian weights overflow
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, _, err = run_cli(capsys, "run", "--scenario", scenario, "--config", str(cfg),
+                                   "--out", str(out))
+        assert code == 3 and re.search(r"step \d+: a state update holds a number that is "
+                                       "not finite", err), scenario
+        assert not out.exists()
     # a key given twice must not keep its last value
     cfg.write_text("trials = 4\ntrials = 6\n")
     code, _, err = run_cli(capsys, "run", "--scenario", "aplysia", "--config", str(cfg),
@@ -133,6 +146,26 @@ def test_bad_inputs_exit_three(small_traces, tmp_path, capsys):
     code, _, err = run_cli(capsys, "mimic-check", "--source", str(small_traces["aplysia"]),
                            "--target", str(small_traces["hebbian"]), "--map", str(twice))
     assert code == 3 and "lists source tuple ('skin_0',) twice" in err
+
+    # a mapping key listed twice must not keep its last value: here the first
+    # "input" holds a ghost image, and the last one the shipped map
+    shipped = json.dumps(default_mimicry_mapping()["components"]["input"])
+    twice.write_text(json.dumps(default_mimicry_mapping()).replace(
+        '"components": {', '"components": {"input": [[["skin_0"], ["ghost"]]], ', 1))
+    assert f'"input": {shipped}' in twice.read_text()
+    code, _, err = run_cli(capsys, "mimic-check", "--source", str(small_traces["aplysia"]),
+                           "--target", str(small_traces["hebbian"]), "--map", str(twice))
+    assert code == 3 and "error: invalid JSON (key 'input' listed twice)" in err
+
+    # a state value that is not a finite number
+    lines = small_traces["aplysia"].read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if '"strength":' in line)
+    for constant in ("NaN", "Infinity", "-Infinity"):
+        broken = re.sub(r'"strength":[^,}]+', f'"strength":{constant}', lines[at], count=1)
+        nan = tmp_path / "nan.trace"
+        nan.write_text("\n".join(lines[:at] + [broken] + lines[at + 1:]) + "\n")
+        code, _, err = run_cli(capsys, "classify", "--trace", str(nan))
+        assert code == 3 and f"line {at + 1}: invalid JSON ({constant} is not a" in err
 
     # the shipped mapping with object pairs outside the source's 19 objects (18 steps)
     data = {**default_mimicry_mapping(), "object_map": [[i, i] for i in range(19)]}

@@ -156,6 +156,14 @@ def test_read_trace_error_catalog(tmp_path):
         ('"id":"output_structure"', '"id":"input_structure"', "line 1: duplicate declaration"),
         ('"role":"input"', '"role":"sensing"', "line 1: unknown role 'sensing'"),
         ('["idle",0,2]', '["idle",0,3]', r"line 1: phase 'idle' interval \[0, 3\) outside 0..2"),
+        # a list read into a set may not repeat an entry: the sorted-first one is named
+        ('"tuples":[["nic_0"]]', '"tuples":[["nic_9"],["nic_0"],["nic_9"],["nic_0"]]',
+         r"line 1: tuples of 'input_structure' lists \('nic_0',\) twice$"),
+        ('"scope":["io_port"]', '"scope":["mains","io_port","mains","io_port"]',
+         "line 1: scope of 'input_structure' lists 'io_port' twice$"),
+        # a trace holds finite numbers only
+        ('"core_0","cpu",{}', '"core_0","cpu",{"v":NaN}', r"line 1: invalid JSON \(NaN is not a"),
+        ('"core_0","cpu",{}', '"core_0","cpu",{"v":-Infinity}', r"line 1: invalid JSON \(-Inf"),
     ):
         assert field in good[0], field
         cases.append(([good[0].replace(field, broken, 1)] + good[1:], message))
@@ -188,6 +196,13 @@ def test_read_trace_error_catalog(tmp_path):
         ('"to":"io_port"', '"to":["io_port"]', "line 2: to is not a string"),
         ('"moved":["dust_0"]', '"moved":"dust_0"', "line 2: moved is not a list"),
         ('"moved":["dust_0"]', '"moved":[["dust_0"]]', "line 2: moved entry is not a string"),
+        ('"moved":["dust_0"]', '"moved":["dust_1","dust_0","dust_1","dust_0"]',
+         "line 2: moved lists 'dust_0' twice$"),
+        ('"updates":{}', '"updates":{"dust_0":{"v":Infinity}}',
+         r"line 2: invalid JSON \(Infinity is not a finite number\)$"),
+        ('"updates":{}', '"updates":{"dust_0":{"v":NaN}}', r"line 2: invalid JSON \(NaN is not a"),
+        # an integer too long for Python to convert
+        ('"step":0', '"step":' + "1" * 5000, r"line 2: invalid JSON \(Exceeds the limit"),
     ):
         cases.append(([good[0], arrival.replace(field, broken)], message))
     assert read_trace(write_lines(tmp_path / "ok.trace", [good[0], arrival, good[2]])).n_steps == 2

@@ -29,8 +29,8 @@ FUZZ = settings(
 )
 
 # stand-ins of every JSON type, the side names, and the empty containers
-SPECIAL = (None, True, False, 0, -1, 1, 2, 1.5, "", "x", "system", "environment",
-           [], [""], ["x"], {}, {"x": 1})
+SPECIAL = (None, True, False, 0, -1, 1, 2, 1.5, float("nan"), float("inf"), "", "x", "system",
+           "environment", [], [""], ["x"], {}, {"x": 1})
 _names = st.text(alphabet="abxyz_019", max_size=4)
 JSON_VALUES = st.sampled_from(SPECIAL) | st.recursive(
     st.none() | st.booleans() | st.integers(-3, 40) | _names,
