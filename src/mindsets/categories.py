@@ -9,9 +9,9 @@ intelligence category is its time functor's own object and arrow tables,
 so `IntelligenceCategory` is another name for `TimeFunctor`. Mimicry
 functors relate two such intelligence categories through per-role tuple
 maps; validation demands totality on the source carriers and commutation
-with time evolution. A mimicry functor applied after its source's time
-functor is itself a time functor, its pullback, so a mimicry functor's laws
-are checked as its pullback's.
+with time evolution, decided on the mimicry functor's pullback: the time
+functor it makes of its source's steps, built once and shared with the
+law check and composition.
 
 A trace functor stores no arrows. The category is generated by its steps
 (i, i+1), and arrow (i, j) is the identity on the tuples present at every
@@ -33,9 +33,9 @@ induction each arrow is then the composite of its steps, and associativity
 of partial maps makes every triple commute. Only when those checks fail
 does it fall back to the sweep over all triples i <= j <= k of the table,
 `sweep_functor_laws`, which is its oracle and names every broken triple.
-Mimicry validation between two run-encoded functors reads each tuple's run
-end once and names the first counterexample of its oracle, the loop over
-all arrows of the two tables, which checks hand-built functors.
+Mimicry validation compares each tuple's run end with its image's in the
+pullback and names the first counterexample of its oracle, the loop over
+the arrows of the source and pullback tables, taken for hand-built ones.
 """
 
 from __future__ import annotations
@@ -354,28 +354,28 @@ class MimicryFunctor:
     def morphism_for(self, i: int, j: int) -> IntelligenceMorphism:
         return self.target.morphism(self.object_map[i], self.object_map[j])
 
+    @cached_property
+    def _pullback(self) -> TimeFunctor:
+        """The time functor over the source steps that sends step i to target
+        object o(i) and arrow (i, j) to the target's arrow (o(i), o(j)).
 
-def _pullback(g: MimicryFunctor) -> TimeFunctor:
-    """The time functor over g's source steps that sends step i to target
-    object o(i) and arrow (i, j) to the target's arrow (o(i), o(j)).
-
-    Along a monotone o in range, run ends pull back to run ends: a tuple of
-    target carrier o(i) whose run end there is R runs to the last step j
-    with o(j) <= R. Otherwise the table is pulled back, leaving out arrows
-    the target lacks, so the law sweep reports them.
-    """
-    o, tgt = g.object_map, g.target
-    objects = tuple(tgt.objects[x] for x in o)
-    if tgt.run_ends is not None and all(0 <= x <= tgt.n for x in o) and sorted(o) == list(o):
-        runs = tuple(
-            tuple({y: bisect_right(o, end) - 1 for y, end in ends.items()} for ends in step)
-            for step in (tgt.run_ends[x] for x in o)
-        )
-        return TimeFunctor(n=len(o) - 1, objects=objects, run_ends=runs)
-    tgt_table = tgt.table()
-    pulled = {(i, j): (o[i], o[j]) for i, j in _arrows(len(o))}
-    table = {a: tgt_table[b] for a, b in pulled.items() if b in tgt_table}
-    return TimeFunctor(n=len(o) - 1, objects=objects, morphism_table=table)
+        Along a monotone o in range, run ends pull back to run ends: a tuple of
+        target carrier o(i) whose run end there is R runs to the last step j
+        with o(j) <= R. Otherwise the table is pulled back, leaving out arrows
+        the target lacks, so the law sweep reports them.
+        """
+        o, tgt = self.object_map, self.target
+        objects = tuple(tgt.objects[x] for x in o)
+        if tgt.run_ends is not None and all(0 <= x <= tgt.n for x in o) and sorted(o) == list(o):
+            runs = tuple(
+                tuple({y: bisect_right(o, end) - 1 for y, end in ends.items()} for ends in step)
+                for step in (tgt.run_ends[x] for x in o)
+            )
+            return TimeFunctor(n=len(o) - 1, objects=objects, run_ends=runs)
+        tgt_table = tgt.table()
+        pulled = {(i, j): (o[i], o[j]) for i, j in _arrows(len(o))}
+        table = {a: tgt_table[b] for a, b in pulled.items() if b in tgt_table}
+        return TimeFunctor(n=len(o) - 1, objects=objects, morphism_table=table)
 
 
 def mimicry_functor(
@@ -391,9 +391,10 @@ def mimicry_functor(
     landing in the mapped object's carrier of the same role; commutation
     with time evolution (a tuple that survives from i to j in the source
     must have an image surviving from o(i) to o(j) in the target, and the
-    two paths around the square must agree). Two functors whose run ends
-    hold are checked once per tuple; otherwise each source arrow (i, j) and
-    the target's (o(i), o(j)) must be present, and each square is checked.
+    two paths around the square must agree), decided on the pullback that
+    the returned functor keeps: once per tuple where source and pullback
+    hold run ends; else each source arrow (i, j) and the target's (o(i),
+    o(j)) must be present, and each square is checked.
     """
     for role in FUNCTOR_ROLES:
         if role not in components:
@@ -427,30 +428,27 @@ def mimicry_functor(
                         counterexample=(i, role, x, comp[x]),
                     )
 
-    if _runs_hold(source) and _runs_hold(target):
-        _check_run_ends(source, target, o, components)
-    else:
-        _check_every_arrow(source, target, o, components)
-
     # copies, so the caller's later edits cannot reach a validated functor
-    return MimicryFunctor(
-        source, target, o, *(dict(components[role]) for role in FUNCTOR_ROLES)
-    )
+    g = MimicryFunctor(source, target, o, *(dict(components[role]) for role in FUNCTOR_ROLES))
+    pulled = g._pullback
+    if _runs_hold(source) and _runs_hold(pulled):
+        _check_run_ends(source, pulled, components)
+    else:
+        _check_every_arrow(source, pulled, components)
+    return g
 
 
-def _check_every_arrow(source, target, o: tuple[int, ...], components) -> None:
+def _check_every_arrow(source, pulled: TimeFunctor, components) -> None:
     """Raise on the first source arrow, in sorted order, that is missing,
-    maps to a missing target arrow, or has a square that fails."""
+    maps to a target arrow the pullback lacks, or has a square that fails."""
     src_table = source.table()
-    tgt_table = target.table()
-    for i, j in _arrows(len(o)):
+    tgt_table = pulled.table()
+    for i, j in _arrows(pulled.n + 1):
         if (i, j) not in src_table:
             raise MimicryError("source category lacks an arrow", counterexample=(i, j))
-        if (o[i], o[j]) not in tgt_table:
-            raise MimicryError(
-                "target category lacks the mapped arrow", counterexample=(i, j)
-            )
-        src_m, tgt_m = src_table[(i, j)], tgt_table[(o[i], o[j])]
+        if (i, j) not in tgt_table:
+            raise MimicryError("target category lacks the mapped arrow", counterexample=(i, j))
+        src_m, tgt_m = src_table[(i, j)], tgt_table[(i, j)]
         for role in FUNCTOR_ROLES:
             comp = components[role]
             tgt_map = tgt_m.component(role)
@@ -467,23 +465,22 @@ def _check_every_arrow(source, target, o: tuple[int, ...], components) -> None:
                     )
 
 
-def _check_run_ends(source, target, o: tuple[int, ...], components) -> None:
+def _check_run_ends(source, pulled: TimeFunctor, components) -> None:
     """Raise what `_check_every_arrow` raises first, from run ends that hold and
     components total on the source carriers and landing in the mapped ones.
 
     Every arrow is then a partial identity, so only survival can fail: tuple x
     of carrier i with run end e survives (i, j) while j <= e, and its image,
-    with run end R at o(i), survives (o(i), o(j)) while o(j) <= R. As o is
-    monotone, the image is lost when o(e) > R, first at j = bisect_right(o, R).
+    with run end P in the pullback at i, survives while j <= P. The image is
+    lost exactly when P < e, first at j = P + 1.
     """
     maps = [components[role] for role in FUNCTOR_ROLES]
-    for i, ends in enumerate(source.run_ends):
-        images = target.run_ends[o[i]]
+    for i, (ends, images) in enumerate(zip(source.run_ends, pulled.run_ends)):
         lost = [
-            (bisect_right(o, images[r][comp[x]]), r, x)
+            (images[r][comp[x]] + 1, r, x)
             for r, comp in enumerate(maps)
             for x, e in ends[r].items()
-            if o[e] > images[r][comp[x]]
+            if images[r][comp[x]] < e
         ]
         if lost:  # the loop's order: least j, then role, then tuple
             j, r, x = min(lost)
@@ -505,7 +502,7 @@ def compose_functors(first, second):
     """Diagrammatic composition: apply `first`, then `second`.
 
     A time functor composed with a mimicry functor yields a time functor
-    into the mimicry's target, its pullback: run-encoded, with no table,
+    into the mimicry's target, the pullback it keeps: run-encoded, with no table,
     when the target is; two mimicry functors compose into one. The
     categories must actually meet in the middle; nothing is reordered.
     """
@@ -515,7 +512,7 @@ def compose_functors(first, second):
                 "functor composition mismatch: first functor's image is not "
                 "the second functor's source category"
             )
-        return _pullback(second)
+        return second._pullback
     if isinstance(first, MimicryFunctor) and isinstance(second, MimicryFunctor):
         if first.target != second.source:
             raise ConstructionError(
@@ -554,7 +551,7 @@ class LawReport:
 def _time_functor(f) -> TimeFunctor:
     """`f` itself, or a mimicry functor's pullback."""
     if isinstance(f, MimicryFunctor):
-        f = _pullback(f)
+        f = f._pullback
     if not isinstance(f, TimeFunctor):
         raise ConstructionError("law check expects a time or mimicry functor")
     return f

@@ -27,6 +27,7 @@ from .universe import (
     Snapshot,
     State,
     StructureRelation,
+    _finite,
 )
 
 __all__ = [
@@ -149,9 +150,11 @@ def _check_event(
             f"({ev.from_region!r} to {ev.to_region!r})",
         )
 
-    for eid, _ in ev.state_updates:
+    for eid, attrs in ev.state_updates:
         if eid not in membership:
             raise StepError(step, f"state update names unknown element {eid!r}")
+        if not _finite(attrs):
+            raise StepError(step, "a state update holds a number that is not finite")
 
 
 def _check_movers(step: int, membership: dict[ElementId, RegionId], ev: TransferEvent) -> None:

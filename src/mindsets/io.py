@@ -199,9 +199,10 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-# one decoder each, built once: keyword arguments to json.loads build one per call
+# one decoder each, built once: keyword arguments to json.loads build one per call;
+# step lines, by far the most, skip the duplicate-key hook the header and mappings pay
 _DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
-_MAPPING_DECODER = json.JSONDecoder(
+_UNIQUE_KEY_DECODER = json.JSONDecoder(
     parse_constant=_refuse_constant, object_pairs_hook=_unique_keys
 )
 
@@ -222,9 +223,9 @@ def _loads(text: str, error: type[ConstructionError], decoder=_DECODER):
         raise error("invalid JSON (nested too deeply)") from None
 
 
-def _json(line: str) -> dict:
+def _json(line: str, decoder=_DECODER) -> dict:
     """The JSON object one line of a trace file holds."""
-    obj = _loads(line, TraceFormatError)
+    obj = _loads(line, TraceFormatError, decoder)
     if not isinstance(obj, dict):
         raise TraceFormatError("expected an object")
     return obj
@@ -232,7 +233,7 @@ def _json(line: str) -> dict:
 
 def _header(line: str) -> tuple[Snapshot, list[StructureRelation], list[Phase]]:
     """The initial snapshot, declarations and phases that the header describes."""
-    header = _json(line)
+    header = _json(line, _UNIQUE_KEY_DECODER)
     if header.get("format") != FORMAT_NAME:
         raise TraceFormatError("not a trace file")
     version = header.get("version")
@@ -381,7 +382,7 @@ def default_mimicry_mapping() -> dict:
 
 def _mapping(text: str) -> dict:
     """The mapping `text` holds, with its format, version and tables checked."""
-    data = _loads(text, MappingFormatError, _MAPPING_DECODER)
+    data = _loads(text, MappingFormatError, _UNIQUE_KEY_DECODER)
     if not isinstance(data, dict) or data.get("format") != MAPPING_FORMAT_NAME:
         raise MappingFormatError("not a mimicry mapping file")
     version = data.get("version")

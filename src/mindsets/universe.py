@@ -12,6 +12,7 @@ output, or other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import isfinite
 
 __all__ = [
     "ElementId",
@@ -53,6 +54,14 @@ def _frozen_state(state: State | None) -> State:
     if state is None:
         return {}
     return dict(state)
+
+
+def _finite(pairs) -> bool:
+    """Whether no value of the (name, value) pairs is an infinity or NaN."""
+    for _, v in pairs:  # a plain loop: about half the cost of all() over a generator
+        if isinstance(v, float) and not isfinite(v):
+            return False
+    return True
 
 
 @dataclass(frozen=True, eq=True)
@@ -106,8 +115,9 @@ def make_snapshot(
 ) -> Snapshot:
     """Build a validated step-0 snapshot.
 
-    ``elements`` lists every element with its initial state. Every element
-    must be assigned a region and every referenced region must carry a side.
+    ``elements`` lists every element with its initial state, whose numbers
+    must be finite. Every element must be assigned a region and every
+    referenced region must carry a side.
     """
     seen: set[ElementId] = set()
     states: dict[ElementId, State] = {}
@@ -116,6 +126,8 @@ def make_snapshot(
             raise ConstructionError(f"duplicate element id {eid!r}")
         seen.add(eid)
         states[eid] = _frozen_state(state)
+        if not _finite(states[eid].items()):
+            raise ConstructionError(f"initial state of {eid!r} holds a number that is not finite")
 
     for region, side in region_side.items():
         if side not in SIDES:

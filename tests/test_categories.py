@@ -611,6 +611,31 @@ def test_mimicry_refuses_a_source_without_an_arrow():
     assert exc.value.counterexample == (1, 2)
 
 
+def test_mimicry_refuses_a_square_that_does_not_commute():
+    # a hand-built source whose arrow (0, 1) sends ("a",) to ("b",): the image
+    # ("p",) survives, but the target's arrow keeps it, where ("q",) is due
+    f = functor_from_trace(steady_trace(("a", "b")))
+    m = f.morphism(0, 1)
+    source = with_entry(f, (0, 1), with_pairs(m, 0, {**m.input_map, ("a",): ("b",)}))
+    target = functor_from_trace(steady_trace(("p", "q")))
+    with pytest.raises(MimicryError) as exc:
+        mimicry_functor(source, target, (0, 1, 2), component_maps([("a", "p"), ("b", "q")]))
+    assert str(exc.value) == (
+        "input square does not commute (counterexample: (0, 1, 'input', ('a',)))"
+    )
+
+
+def test_mimicry_refuses_a_target_without_the_mapped_arrow():
+    # source arrow (1, 2) maps to target arrow (2, 4), which the table lacks
+    source = functor_from_trace(steady_trace(("a", "b")))
+    target = without(functor_from_trace(steady_trace(("p", "q"), steps=4)), (2, 4))
+    with pytest.raises(MimicryError) as exc:
+        mimicry_functor(
+            source, target, (0, 2, 4), component_maps([("a", "p"), ("b", "q")])
+        )
+    assert str(exc.value) == "target category lacks the mapped arrow (counterexample: (1, 2))"
+
+
 def test_identity_functor_is_neutral():
     f = functor_from_trace(steady_trace(("a", "b")))
     cat = intelligence_category(f)
@@ -638,6 +663,27 @@ def test_time_then_mimicry_composes_to_a_time_functor():
     assert composite.n == f.n
     assert composite.objects == tuple(target.objects[i] for i in (0, 2, 4))
     assert check_functor_laws(composite).passed
+
+
+def test_one_pullback_serves_validation_the_law_check_and_composition(monkeypatch):
+    # validation builds the pullback; the law check and composition read it
+    source = functor_from_trace(steady_trace(("a", "b"), steps=4))
+    target = functor_from_trace(out_and_back("p", "q", trips=3))
+    components = component_maps([("a", "p"), ("b", "q")])
+    functors = [
+        mimicry_functor(source, target, (0,) * 5, components),
+        mimicry_functor(table_form(source), table_form(target), (0,) * 5, components),
+        shipped_mimicry(),
+    ]
+    built = []
+    post_init = categories.TimeFunctor.__post_init__
+    monkeypatch.setattr(
+        categories.TimeFunctor, "__post_init__", lambda f: built.append(f) or post_init(f)
+    )
+    for g in functors:
+        assert check_functor_laws(g).passed
+        assert compose_functors(g.source, g) is compose_functors(g.source, g)
+    assert built == []
 
 
 def test_functor_composition_typing():

@@ -7,15 +7,16 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import mindsets
-from mindsets import default_mimicry_mapping, write_trace
+from mindsets import cli, default_mimicry_mapping, write_trace
 from mindsets.cli import main
 
-from factories import random_trace
+from factories import out_and_back, random_trace
 
 
 def run_cli(capsys, *argv):
@@ -111,7 +112,7 @@ def test_bad_inputs_exit_three(small_traces, tmp_path, capsys):
         assert code == 3 and message in err, line
     # a learning rate whose weights overflow: no trace file holds an infinity
     cfg.write_text("learning_rate = 1e308\ntrials = 40\n")
-    for scenario in ("hebbian", "aplysia"):
+    for scenario in ("hebbian", "aplysia", "backprop"):
         out = tmp_path / f"{scenario}-overflow.trace"
         with warnings.catch_warnings():  # numpy warns as the hebbian weights overflow
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -166,6 +167,33 @@ def test_bad_inputs_exit_three(small_traces, tmp_path, capsys):
         nan.write_text("\n".join(lines[:at] + [broken] + lines[at + 1:]) + "\n")
         code, _, err = run_cli(capsys, "classify", "--trace", str(nan))
         assert code == 3 and f"line {at + 1}: invalid JSON ({constant} is not a" in err
+    # and a number too large for a float, which reads as an infinity: in the
+    # initial state or in an update
+    update = next(i for i, line in enumerate(lines) if i and '"strength":' in line)
+    for at, message in (
+        (0, "line 1: initial state of 'syn' holds"),
+        (update, f"step {update - 1}: a state update holds"),
+    ):
+        for number in ("1e999", "-1e999"):
+            broken = re.sub(r'"strength":[^,}]+', f'"strength":{number}', lines[at], count=1)
+            huge = tmp_path / "huge.trace"
+            huge.write_text("\n".join(lines[:at] + [broken] + lines[at + 1:]) + "\n")
+            code, _, err = run_cli(capsys, "classify", "--trace", str(huge))
+            assert (code, err) == (3, f"error: {message} a number that is not finite\n"), number
+
+    # a header key listed twice must not be read as its last value: a phases
+    # list would drop the ghost phase
+    header = lines[0]
+    for key, first in (("phases", '[["ghost",0,1]]'), ("elements", "[]"), ("regions", "[]"),
+                       ("declarations", "[]")):
+        assert f'"{key}":[' in header, key
+        twice = tmp_path / "twice.trace"
+        twice.write_text("\n".join(
+            [header.replace(f'"{key}":[', f'"{key}":{first},"{key}":[', 1)] + lines[1:]) + "\n")
+        code, out, err = run_cli(capsys, "report", "--trace", str(twice))
+        assert (code, out, err) == (
+            3, "", f"error: line 1: invalid JSON (key '{key}' listed twice)\n"
+        ), key
 
     # the shipped mapping with object pairs outside the source's 19 objects (18 steps)
     data = {**default_mimicry_mapping(), "object_map": [[i, i] for i in range(19)]}
@@ -275,6 +303,32 @@ def test_functor_check_passes_on_generated_traces(small_traces, capsys):
     assert "all laws hold" in out
 
 
+def test_functor_check_prints_each_law_failure(tmp_path, capsys, monkeypatch):
+    # a table whose span (0, 2) forgets its input pairs: no trace file gives one
+    build = cli.functor_from_trace
+
+    def corrupted(t):
+        f = build(t)
+        table = {**f.table(), (0, 2): replace(f.morphism(0, 2), input_map={})}
+        return type(f)(n=f.n, objects=f.objects, morphism_table=table)
+
+    monkeypatch.setattr(cli, "functor_from_trace", corrupted)
+    path = tmp_path / "blink.trace"
+    write_trace(out_and_back("a", "b", extra_steps=1), path)
+    assert run_cli(capsys, "functor-check", "--trace", str(path)) == (1, (
+        "# Functor laws\n"
+        "\n"
+        "objects checked: 4\n"
+        "composition triples checked: 20\n"
+        "result: 2 failure(s)\n"
+        "\n"
+        "| law | at | detail |\n"
+        "| --- | --- | --- |\n"
+        "| composition | (0, 1, 2) | composite of the two legs differs from the table entry |\n"
+        "| composition | (0, 2, 3) | composite of the two legs differs from the table entry |\n"
+    ), "")
+
+
 def test_mimic_check_accepts_the_shipped_mapping(small_traces, tmp_path, capsys):
     mapping = tmp_path / "map.json"
     mapping.write_text(json.dumps(default_mimicry_mapping()))
@@ -311,6 +365,31 @@ def test_oracle_check_agrees_on_small_traces(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "oracle-check", "--trace", str(path))
     assert code == 0
     assert "agreement: yes" in out
+
+
+def test_oracle_check_names_each_disagreement(tmp_path, capsys, monkeypatch):
+    # an oracle that misses the output witnesses: the verdict and the output
+    # steps disagree, and each mismatch gets its own line
+    oracle = cli.brute_force_classify
+
+    def blind(t, window):
+        report = oracle(t, window)
+        kept = tuple(w for w in report.witnesses if w.condition != "output")
+        return replace(report, witnesses=kept, has_output=False, verdict=False)
+
+    monkeypatch.setattr(cli, "brute_force_classify", blind)
+    path = tmp_path / "small.trace"
+    write_trace(random_trace(random.Random(9)), path)
+    assert run_cli(capsys, "oracle-check", "--trace", str(path)) == (1, (
+        "# Oracle comparison\n"
+        "\n"
+        "window: 0:6\n"
+        "classify verdict: true\n"
+        "oracle verdict: false\n"
+        "agreement: no\n"
+        "- mismatch: verdict\n"
+        "- mismatch: output steps (3 vs none)\n"
+    ), "")
 
 
 def test_oracle_check_respects_the_size_guard(small_traces, capsys):

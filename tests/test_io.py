@@ -9,6 +9,7 @@ import pytest
 from mindsets import (
     ConfigError,
     ScenarioConfig,
+    StepError,
     TraceFormatError,
     MappingFormatError,
     make_scenario,
@@ -164,6 +165,20 @@ def test_read_trace_error_catalog(tmp_path):
         # a trace holds finite numbers only
         ('"core_0","cpu",{}', '"core_0","cpu",{"v":NaN}', r"line 1: invalid JSON \(NaN is not a"),
         ('"core_0","cpu",{}', '"core_0","cpu",{"v":-Infinity}', r"line 1: invalid JSON \(-Inf"),
+        # and a number too large for a float, which reads as an infinity
+        ('"core_0","cpu",{}', '"core_0","cpu",{"v":1e999}',
+         "line 1: initial state of 'core_0' holds a number that is not finite$"),
+        ('"core_0","cpu",{}', '"core_0","cpu",{"v":-1e999}',
+         "line 1: initial state of 'core_0' holds a number that is not finite$"),
+        # a header key listed twice must not keep its last value
+        ('"phases":[', '"phases":[["ghost",0,1]],"phases":[',
+         r"line 1: invalid JSON \(key 'phases' listed twice\)$"),
+        ('"elements":[', '"elements":[],"elements":[',
+         r"line 1: invalid JSON \(key 'elements' listed twice\)$"),
+        ('"regions":[', '"regions":[],"regions":[',
+         r"line 1: invalid JSON \(key 'regions' listed twice\)$"),
+        ('"declarations":[', '"declarations":[],"declarations":[',
+         r"line 1: invalid JSON \(key 'declarations' listed twice\)$"),
     ):
         assert field in good[0], field
         cases.append(([good[0].replace(field, broken, 1)] + good[1:], message))
@@ -212,6 +227,14 @@ def test_read_trace_error_catalog(tmp_path):
             read_trace(path)
         assert len(re.findall(r"\bline \d", str(exc.value))) == 1, str(exc.value)
         assert main(["classify", "--trace", str(path)]) == 3, message
+    # an update whose number is too large for a float reads as an infinity,
+    # which the replay refuses at its step
+    for number in ("1e999", "-1e999"):
+        huge = arrival.replace('"updates":{}', '"updates":{"dust_0":{"v":%s}}' % number)
+        path = write_lines(tmp_path / "bad.trace", [good[0], huge])
+        with pytest.raises(StepError, match="^step 0: a state update holds a number that is not finite$"):
+            read_trace(path)
+        assert main(["classify", "--trace", str(path)]) == 3, number
 
     (tmp_path / "void.trace").write_text("")
     with pytest.raises(TraceFormatError, match="empty trace file"):

@@ -1,6 +1,7 @@
 """Built-in scenario generators: shape, determinism, dynamics, verdicts."""
 
 import hashlib
+import warnings
 from dataclasses import fields, replace
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from mindsets import (
     ConstructionError,
     ScenarioConfig,
+    StepError,
     activity,
     attribution,
     classify,
@@ -269,6 +271,17 @@ def test_config_validation_catches_bad_knobs():
     for cfg in bad:
         with pytest.raises(ConstructionError):
             cfg.validate()
+
+
+@pytest.mark.parametrize("name, step", [("hebbian", 10), ("aplysia", 4), ("backprop", 13)])
+def test_weights_that_overflow_are_refused_at_their_step(name, step):
+    # a finite learning rate can still overflow the weights: no built trace
+    # holds an infinity, in memory or in a file
+    cfg = ScenarioConfig(learning_rate=1e308, trials=40)
+    message = f"^step {step}: a state update holds a number that is not finite$"
+    with warnings.catch_warnings(), pytest.raises(StepError, match=message):
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy warns as they overflow
+        make_scenario(name, cfg)
 
 
 def test_accuracy_needs_graded_trials():
