@@ -8,7 +8,7 @@ verdict over a window is existential: all three conditions witnessed
 somewhere inside it.
 
 ``classify`` and the ``witness_*`` helpers read the recorded events only,
-plus the region sides of the first snapshot: a step's count changes are
+plus the region sides of ``t.initial``: a step's count changes are
 its arrivals minus its departures, so a step costs O(moved elements).
 ``brute_force_classify`` is the oracle and reads snapshots only: it
 rederives movement from membership diffs, takes count changes from literal
@@ -233,7 +233,7 @@ def _step_witnesses(
 def _first(t: Trace, step: int, condition: str) -> Witness | None:
     if not (0 <= step < t.n_steps):
         raise WindowError(f"step {step} outside steps 0:{t.n_steps}")
-    first = t.snapshots[0]
+    first = t.initial
     for w in _step_witnesses(t, step, _system(first), first.region_side):
         if w.condition == condition:
             return w
@@ -269,7 +269,7 @@ def _report(
 def classify(t: Trace, window: tuple[int, int]) -> IntelligenceReport:
     """Aggregate witnesses over the window and render the verdict."""
     start, stop = check_window(t, window)
-    first = t.snapshots[0]
+    first = t.initial
     system = _system(first)
     witnesses: list[Witness] = []
     for i in range(start, stop):
@@ -324,7 +324,7 @@ def brute_force_classify(t: Trace, window: tuple[int, int]) -> IntelligenceRepor
     the regions.
     """
     start, stop = check_window(t, window)
-    first = t.snapshots[0]
+    first = t.initial
     if len(first.membership) > 12 or stop - start > 8:
         raise ConstructionError(
             "size guard exceeded: brute_force_classify needs at most "

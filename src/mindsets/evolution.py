@@ -5,9 +5,9 @@ snapshot, producing the next. Events move elements between regions (the
 element roster never changes) and may update element states in the same step,
 which is how learning rides on internal events without any membership change.
 A ``Trace`` is the full history: its initial snapshot plus the per-step
-events, phase labels, and structure declarations. ``build_trace`` validates
-each step against one running state updated in place and stores no later
-snapshot; ``Trace.snapshots`` replays them from the events on demand.
+events, phase labels, and structure declarations, with ``Trace.snapshots``
+replaying the later snapshots from the events on demand. ``build_trace``
+validates each step against one running state updated in place.
 ``apply_step`` is the eager form of one step, kept as the oracle.
 """
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 from .universe import (
@@ -253,36 +254,51 @@ def apply_step(s: Snapshot, events: list[TransferEvent]) -> Snapshot:
 
 
 class _Replay(Sequence):
-    """The read-only snapshots of a built trace, replayed from its events.
+    """The read-only snapshots of a trace, replayed from its initial snapshot
+    and events.
 
-    Holds the initial snapshot, the per-step events and sparse checkpoints,
-    each a (step, membership, states) triple. A snapshot is replayed from the
-    nearest checkpoint at or before it; iteration and a slice replay once.
-    Two replays are equal when their snapshots are, as tuples of snapshots are.
+    A replay from step 0 (iteration, or a slice that holds step 0) starts at
+    the initial snapshot. The first other access takes sparse checkpoints,
+    each a (step, membership, states) triple: one whenever the replay work
+    since the last (one per step, plus its moves and updates) reaches the
+    roster size. So all checkpoints together take O(steps + events + roster)
+    memory, and any snapshot is replayed from the last checkpoint at or
+    before it in O(roster). A replay equals any sequence of equal snapshots,
+    compared one by one.
     """
 
-    __slots__ = ("_initial", "_events", "_marks")
-
-    def __init__(
-        self,
-        initial: Snapshot,
-        events: tuple[tuple[TransferEvent, ...], ...],
-        marks: list[tuple[int, dict[ElementId, RegionId], dict[ElementId, State]]],
-    ):
+    def __init__(self, initial: Snapshot, events: tuple[tuple[TransferEvent, ...], ...]):
         self._initial = initial
         self._events = events
-        self._marks = marks
 
     def __len__(self) -> int:
         return len(self._events) + 1
 
+    @cached_property
+    def _marks(self) -> list[tuple[int, dict[ElementId, RegionId], dict[ElementId, State]]]:
+        initial = self._initial
+        membership, states = dict(initial.membership), dict(initial.states)
+        marks = [(0, initial.membership, initial.states)]
+        work = 0
+        for step, events in enumerate(self._events, start=1):
+            _advance(membership, states, events)
+            work += 1 + sum(len(ev.moved) + len(ev.state_updates) for ev in events)
+            if work >= len(initial.membership):
+                marks.append((step, dict(membership), dict(states)))
+                work = 0
+        return marks
+
     def _from_mark(self, i: int):
-        """The last checkpoint at or before step ``i``: its step and copies of its dicts."""
+        """Where a replay to step ``i`` starts: the initial snapshot for step 0,
+        else the last checkpoint at or before ``i``; its step and copies of its dicts."""
+        if i == 0:
+            return 0, dict(self._initial.membership), dict(self._initial.states)
         step, membership, states = self._marks[bisect_right(self._marks, i, key=itemgetter(0)) - 1]
         return step, dict(membership), dict(states)
 
     def _replay(self, indices: range) -> Iterator[Snapshot]:
-        """Snapshots at the ascending ``indices``, from one replay."""
+        """Snapshots at the ascending ``indices``, from one replay. The last
+        one takes the replay's own dicts, which nothing advances after it."""
         if not indices:
             return
         step, membership, states = self._from_mark(indices[0])
@@ -292,13 +308,14 @@ class _Replay(Sequence):
             step = i
             if i == 0:
                 yield self._initial
-            else:
-                yield Snapshot(
-                    step=i,
-                    membership=dict(membership),
-                    region_side=self._initial.region_side,
-                    states=dict(states),
-                )
+                continue
+            last = i == indices[-1]
+            yield Snapshot(
+                step=i,
+                membership=membership if last else dict(membership),
+                region_side=self._initial.region_side,
+                states=states if last else dict(states),
+            )
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -307,14 +324,7 @@ class _Replay(Sequence):
                 return tuple(self._replay(picked))
             return tuple(self._replay(picked[::-1]))[::-1]
         i = range(len(self))[index]
-        if i == 0:
-            return self._initial
-        step, membership, states = self._from_mark(i)
-        for events in self._events[step:i]:
-            _advance(membership, states, events)
-        return Snapshot(
-            step=i, membership=membership, region_side=self._initial.region_side, states=states
-        )
+        return next(self._replay(range(i, i + 1)))
 
     def __iter__(self) -> Iterator[Snapshot]:
         return self._replay(range(len(self)))
@@ -323,38 +333,38 @@ class _Replay(Sequence):
         return iter(self[::-1])
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, _Replay):
-            if self._initial == other._initial and self._events == other._events:
-                return True
-        elif not isinstance(other, tuple):
+        if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def __repr__(self) -> str:
-        return f"<{len(self)} snapshots replayed from {len(self._marks)} checkpoints>"
+        return f"<{len(self)} snapshots replayed from {len(self._events)} steps of events>"
 
 
 @dataclass(frozen=True, eq=True)
 class Trace:
     """An initial snapshot plus the per-step events that change it.
 
-    ``events[i]`` holds the events applied between ``snapshots[i]`` and
-    ``snapshots[i+1]``; ``snapshots`` has length n+1 for n steps. A trace from
-    ``build_trace`` stores only the initial snapshot and the events, and its
-    ``snapshots`` is a read-only sequence that replays the later ones on
-    demand. A trace built by hand may give ``snapshots`` as a tuple, which is
-    how an inconsistent history is written down. ``phases`` labels step
-    intervals and ``declarations`` names the structures in play.
+    ``events[i]`` holds the events applied between the snapshots at steps i
+    and i+1, so a trace of n steps has n event lists. ``snapshots`` is the
+    read-only sequence of all n+1 snapshots, replayed from the initial one and
+    the events on demand, so two traces with equal fields have one history.
+    ``phases`` labels step intervals and ``declarations`` names the
+    structures in play.
     """
 
-    snapshots: Sequence[Snapshot]
+    initial: Snapshot
     events: tuple[tuple[TransferEvent, ...], ...]
     phases: tuple[Phase, ...] = ()
     declarations: tuple[StructureRelation, ...] = ()
 
+    @cached_property
+    def snapshots(self) -> _Replay:
+        return _Replay(self.initial, self.events)
+
     @property
     def n_steps(self) -> int:
-        return len(self.snapshots) - 1
+        return len(self.events)
 
     def declaration(self, decl_id: str) -> StructureRelation:
         for decl in self.declarations:
@@ -385,11 +395,7 @@ def build_trace(
 
     Each step is checked against one running membership and state, then
     applied to them in place, so a step costs O(moved elements + updates).
-    A checkpoint of the running dicts is kept whenever the replay work since
-    the last one (one per step, plus its moves and updates) reaches the
-    roster size. So all checkpoints together take O(steps + events + roster)
-    memory, and replaying any one snapshot from its checkpoint costs
-    O(roster).
+    The trace keeps the initial snapshot and the events only.
     """
     if initial.step != 0:
         raise ConstructionError("initial snapshot must be at step 0")
@@ -412,8 +418,6 @@ def build_trace(
 
     events = tuple(tuple(evs) for evs in schedule)
     membership, states = dict(initial.membership), dict(initial.states)
-    marks = [(0, initial.membership, initial.states)]
-    work = 0
     for step, step_events in enumerate(events):
         for ev in step_events:
             if ev.via_structure is not None and ev.via_structure not in known:
@@ -422,10 +426,6 @@ def build_trace(
                 )
         _check_step(step, membership, initial.region_side, step_events)
         _advance(membership, states, step_events)
-        work += 1 + sum(len(ev.moved) + len(ev.state_updates) for ev in step_events)
-        if work >= len(roster):
-            marks.append((step + 1, dict(membership), dict(states)))
-            work = 0
 
     n = len(events)
     for ph in phases:
@@ -435,7 +435,7 @@ def build_trace(
             )
 
     return Trace(
-        snapshots=_Replay(initial, events, marks),
+        initial=initial,
         events=events,
         phases=tuple(phases),
         declarations=tuple(declarations),
@@ -453,32 +453,26 @@ class ConservationViolation:
 def verify_conservation(t: Trace) -> list[ConservationViolation]:
     """Check total cardinality and roster constancy across every step.
 
-    Returns an empty list iff the element-id set is identical in all
-    snapshots and the combined system plus environment count never changes.
-    Total over any trace, including hand-edited ones.
+    Returns an empty list iff the element-id set is the same in every
+    snapshot, so the combined system plus environment count never changes.
+    Answered from the events in O(moved elements): a replay only adds
+    elements, so a step that moves an element from outside the initial roster
+    breaks cardinality there and at every later step, and nothing else can
+    change the roster. ``build_trace`` refuses such a step, so on its traces
+    the answer is empty.
     """
+    roster = t.initial.membership
+    outsiders: set[ElementId] = set()
     violations: list[ConservationViolation] = []
-    if not t.snapshots:
-        return violations
-    snapshots = iter(t.snapshots)
-    base = next(snapshots)
-    expected_total = len(base.membership)
-    roster = base.membership.keys()
-    for i, snap in enumerate(snapshots, start=1):
-        total = len(snap.membership)
-        if total != expected_total:
+    for step, events in enumerate(t.events):
+        outsiders.update(eid for ev in events for eid in ev.moved if eid not in roster)
+        if outsiders:
             violations.append(
                 ConservationViolation(
-                    step=i - 1, kind="cardinality", expected=expected_total, actual=total
-                )
-            )
-        elif snap.membership.keys() != roster:
-            violations.append(
-                ConservationViolation(
-                    step=i - 1,
-                    kind="roster",
-                    expected=expected_total,
-                    actual=len(roster & snap.membership.keys()),
+                    step=step,
+                    kind="cardinality",
+                    expected=len(roster),
+                    actual=len(roster) + len(outsiders),
                 )
             )
     return violations

@@ -91,7 +91,7 @@ def _event_to_dict(ev: TransferEvent) -> dict:
 
 
 def trace_to_text(t: Trace) -> str:
-    initial = t.snapshots[0]
+    initial = t.initial
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,

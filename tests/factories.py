@@ -5,7 +5,8 @@ their events' region footprints pairwise disjoint, matching the discipline
 the library's own generators follow; the oracle-equivalence argument leans
 on that, so the factory is the place where it is enforced. `out_and_back`
 and `steady_trace` stage carriers that blink or stay put, for the functor
-and mimicry checks.
+and mimicry checks. `eager_snapshots` and `conservation_scan` are the
+oracles for the trace replay and for `verify_conservation`.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ from mindsets import (
     EXTERNAL_IN,
     EXTERNAL_OUT,
     INTERNAL,
+    ConservationViolation,
     Phase,
     Snapshot,
     StructureRelation,
     Trace,
     TransferEvent,
+    apply_step,
     build_trace,
     make_snapshot,
 )
@@ -204,6 +207,41 @@ def steady_trace(names, steps=2):
         )
         schedule.append([ev(i, kind, ("courier",), src, dst)])
     return build_trace(s0, schedule, declarations=declarations_over(names))
+
+
+def eager_snapshots(t: Trace) -> list[Snapshot]:
+    """Every snapshot of `t`, folded by apply_step from the initial one."""
+    snapshots = [t.initial]
+    for events in t.events:
+        snapshots.append(apply_step(snapshots[-1], list(events)))
+    return snapshots
+
+
+def conservation_scan(snapshots) -> list[ConservationViolation]:
+    """The oracle for `verify_conservation`: compare each snapshot's count
+    and element ids with the first snapshot's."""
+    violations = []
+    base, *later = snapshots
+    expected_total = len(base.membership)
+    roster = base.membership.keys()
+    for i, snap in enumerate(later):
+        total = len(snap.membership)
+        if total != expected_total:
+            violations.append(
+                ConservationViolation(
+                    step=i, kind="cardinality", expected=expected_total, actual=total
+                )
+            )
+        elif snap.membership.keys() != roster:
+            violations.append(
+                ConservationViolation(
+                    step=i,
+                    kind="roster",
+                    expected=expected_total,
+                    actual=len(roster & snap.membership.keys()),
+                )
+            )
+    return violations
 
 
 def nearest_centroid_predictions(

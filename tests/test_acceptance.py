@@ -374,6 +374,16 @@ def test_conservation_at_scale(stamp):
           f"hebbian trials=1000: {t.n_steps} steps, {len(violations)} violations")
 
 
+def test_conservation_at_the_largest_scale(stamp):
+    # answered from the events, so no snapshot is replayed
+    started = time.perf_counter()
+    t = generate("hebbian", trials=4000, test_count=1000).trace
+    violations = verify_conservation(t)
+    stamp("conservation-at-largest-scale", violations == [] and t.n_steps == 15000,
+          time.perf_counter() - started, 5,
+          f"hebbian trials=4000: {t.n_steps} steps, {len(violations)} violations")
+
+
 def test_long_trace_round_trips(stamp, tmp_path):
     started = time.perf_counter()
     t = generate("sandpile", trials=3400, test_count=0).trace

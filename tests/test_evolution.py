@@ -4,7 +4,7 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -14,11 +14,14 @@ from mindsets import (
     EXTERNAL_IN,
     EXTERNAL_OUT,
     INTERNAL,
+    SCENARIO_NAMES,
+    ConservationViolation,
     ConstructionError,
     Phase,
     ScenarioConfig,
     StepError,
     StructureRelation,
+    Trace,
     TransferEvent,
     apply_step,
     build_trace,
@@ -26,7 +29,12 @@ from mindsets import (
     verify_conservation,
 )
 
-from factories import random_trace, two_region_snapshot
+from factories import (
+    conservation_scan,
+    eager_snapshots as _eager_snapshots,
+    random_trace,
+    two_region_snapshot,
+)
 
 
 def event(step=0, kind=EXTERNAL_IN, moved=("b",), src="out", dst="in", **kw):
@@ -268,7 +276,8 @@ def test_conservation_holds_on_random_traces():
 
 
 def _retouch_last_snapshot(t, rewrite):
-    snaps = list(t.snapshots)
+    """The eager snapshots of `t`, with the last one's membership rewritten."""
+    snaps = _eager_snapshots(t)
     last = snaps[-1]
     membership = rewrite(dict(last.membership))
     snaps[-1] = type(last)(
@@ -277,52 +286,93 @@ def _retouch_last_snapshot(t, rewrite):
         region_side=dict(last.region_side),
         states={e: last.states.get(e, {}) for e in membership},
     )
-    return type(t)(
-        snapshots=tuple(snaps),
-        events=t.events,
-        phases=t.phases,
-        declarations=t.declarations,
-    )
+    return snaps
+
+
+def _moving_at_last_step(t, eid, region):
+    """The schedule of `t` with one more event in its last step: `eid` leaves
+    `region` across the system boundary."""
+    system = t.initial.region_side[region] == "system"
+    kind, dst = (EXTERNAL_OUT, "v0") if system else (EXTERNAL_IN, "s0")
+    return [*t.events[:-1], [*t.events[-1], event(t.n_steps - 1, kind, (eid,), region, dst)]]
 
 
 def test_conservation_flags_a_lost_element():
     t = random_trace(random.Random(1))
+    roster = len(t.initial.membership)
+    victim = sorted(t.initial.membership)[0]
 
     def drop_one(membership):
-        membership.pop(sorted(membership)[0])
+        membership.pop(victim)
         return membership
 
-    violations = verify_conservation(_retouch_last_snapshot(t, drop_one))
+    violations = conservation_scan(_retouch_last_snapshot(t, drop_one))
     assert violations == [
-        type(violations[0])(
-            step=t.n_steps - 1,
-            kind="cardinality",
-            expected=len(t.snapshots[0].membership),
-            actual=len(t.snapshots[0].membership) - 1,
+        ConservationViolation(
+            step=t.n_steps - 1, kind="cardinality", expected=roster, actual=roster - 1
         )
     ]
+    # as events, the loss is a roster without the victim and a last step that moves it
+    assert not any(victim in ev.moved for events in t.events for ev in events)
+    lost = replace(t.initial, membership=drop_one(dict(t.initial.membership)))
+    with pytest.raises(StepError, match=f"^step {t.n_steps - 1}: unknown element '{victim}'$"):
+        build_trace(lost, _moving_at_last_step(t, victim, t.initial.membership[victim]))
 
 
 def test_conservation_flags_a_swapped_identity():
     # same count, different ids: the roster check catches it
     t = random_trace(random.Random(2))
+    victim = sorted(t.initial.membership)[0]
 
     def rename_one(membership):
-        victim = sorted(membership)[0]
         membership["impostor"] = membership.pop(victim)
         return membership
 
-    violations = verify_conservation(_retouch_last_snapshot(t, rename_one))
+    violations = conservation_scan(_retouch_last_snapshot(t, rename_one))
     assert [v.kind for v in violations] == ["roster"]
     assert violations[0].step == t.n_steps - 1
+    # as events, the impostor leaves the victim's region in the last step
+    region = t.snapshots[-2].membership[victim]
+    with pytest.raises(StepError, match=f"^step {t.n_steps - 1}: unknown element 'impostor'$"):
+        build_trace(t.initial, _moving_at_last_step(t, "impostor", region))
 
 
-def _eager_snapshots(t):
-    """The oracle: every snapshot folded by apply_step from the first."""
-    snapshots = [t.snapshots[0]]
-    for events in t.events:
-        snapshots.append(apply_step(snapshots[-1], list(events)))
-    return snapshots
+def _outsider_traces():
+    """Traces built directly, not by build_trace, whose events move one or two
+    elements from outside the roster a, b, c. A replay adds each one, so the
+    total is 3 plus the outsiders moved so far, from that step on."""
+    s0 = two_region_snapshot()
+    x_in = event(moved=("x",))
+    yield Trace(initial=s0, events=((), (replace(x_in, step=1),), ())), [4, 4]
+    yield Trace(
+        initial=s0,
+        events=(
+            (x_in,),
+            (event(1, EXTERNAL_OUT, ("y",), "in", "out"),),
+            (event(2, EXTERNAL_OUT, ("x",), "in", "out"),),
+        ),
+    ), [4, 5, 5]
+    yield Trace(
+        initial=s0,
+        events=((event(moved=("b", "z")),), (event(1, EXTERNAL_OUT, ("a", "w"), "in", "out"),)),
+    ), [4, 5]
+
+
+def test_conservation_from_events_equals_the_snapshot_scan():
+    for seed in range(60):
+        t = random_trace(random.Random(seed), with_metadata=seed % 3 == 0)
+        assert verify_conservation(t) == conservation_scan(_eager_snapshots(t)) == [], seed
+    cfg = ScenarioConfig(seed=3, trials=24, test_count=8)
+    for name in SCENARIO_NAMES:
+        t = make_scenario(name, cfg, steps=60).trace
+        assert verify_conservation(t) == conservation_scan(_eager_snapshots(t)) == [], name
+    for t, totals in _outsider_traces():
+        # apply_step refuses an outsider, so the scan reads the replay
+        expected = [
+            ConservationViolation(step=step, kind="cardinality", expected=3, actual=total)
+            for step, total in enumerate(totals, start=t.n_steps - len(totals))
+        ]
+        assert verify_conservation(t) == conservation_scan(t.snapshots) == expected
 
 
 def _replay_traces():
@@ -379,17 +429,22 @@ def test_replay_checkpoints_are_spaced_by_moves_and_updates():
         assert (membership, states) == (eager[step].membership, eager[step].states)
 
 
-def test_traces_compare_by_their_snapshots_in_either_form():
+def test_traces_compare_by_their_initial_snapshot_and_events():
+    assert [f.name for f in fields(Trace)] == ["initial", "events", "phases", "declarations"]
     t = make_scenario("sandpile", ScenarioConfig(seed=3, trials=12)).trace
-    explicit = replace(t, snapshots=tuple(t.snapshots))
-    assert explicit == t and t == explicit
-    assert verify_conservation(explicit) == verify_conservation(t) == []
+    rebuilt = Trace(
+        initial=t.initial, events=t.events, phases=t.phases, declarations=t.declarations
+    )
+    assert rebuilt == t and t == rebuilt
+    assert rebuilt.snapshots == t.snapshots == tuple(rebuilt.snapshots)
+    assert verify_conservation(rebuilt) == verify_conservation(t) == []
     other = make_scenario("sandpile", ScenarioConfig(seed=4, trials=12)).trace
     assert other != t
     # the same events from another start make another history
     s0 = two_region_snapshot()
     s1 = replace(s0, states={**s0.states, "a": {"v": 1}})
-    assert build_trace(s0, [[], []]) != build_trace(s1, [[], []])
-    # snapshots that disagree with the events make another trace
-    shifted = replace(t, snapshots=tuple(t.snapshots[:-1]) + (t.snapshots[-2],))
-    assert shifted != t and t.snapshots != shifted.snapshots
+    a, b = build_trace(s0, [[], []]), build_trace(s1, [[], []])
+    assert a != b and a.snapshots != b.snapshots
+    # so do fewer events from the same start
+    shorter = replace(t, events=t.events[:-1])
+    assert shorter != t and t.snapshots != shorter.snapshots

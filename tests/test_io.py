@@ -60,7 +60,7 @@ def test_random_traces_round_trip(tmp_path):
 def test_stepless_trace_round_trips(tmp_path):
     bundle = make_scenario("off", SMALL, steps=1)
     t = type(bundle.trace)(
-        snapshots=bundle.trace.snapshots[:1],
+        initial=bundle.trace.initial,
         events=(),
         phases=(),
         declarations=bundle.trace.declarations,
