@@ -7,16 +7,21 @@ with strictly opposite count changes caused only by internal movement. The
 verdict over a window is existential: all three conditions witnessed
 somewhere inside it.
 
-``classify`` and the ``witness_*`` helpers read the recorded events only,
-plus the region sides of ``t.initial``: a step's count changes are
-its arrivals minus its departures, so a step costs O(moved elements).
+``classify``, ``attribution``, ``activity`` and the ``witness_*`` helpers
+read the recorded events only, plus the region sides of ``t.initial``: a
+step's count changes are its arrivals minus its departures. Each step's
+facts (its witnesses, its attributed role and its boundary-crossing mover
+count) depend on that step alone, so each is computed once per trace, the
+first time its step is asked for, and kept in a table the trace holds
+(``Trace._step_facts``); a window query then reads O(window) table entries.
 ``brute_force_classify`` is the oracle and reads snapshots only: it
 rederives movement from membership diffs, takes count changes from literal
 region counts, and decides each condition by exhaustive enumeration of
-region subsets. The two paths share only the sorting of moves by the sides
-they connect and the canonical witness list. Attribution (the declared-role
-sequence used for cycle tables) is deliberately independent of witnessing:
-it reads ``via_structure`` tags and nothing else.
+region subsets; it never reads the table. The two paths share only the
+sorting of moves by the sides they connect, the canonical witness list and
+the reading of one step's role. Attribution (the declared-role sequence
+used for cycle tables) is deliberately independent of witnessing: it reads
+``via_structure`` tags and nothing else.
 """
 
 from __future__ import annotations
@@ -117,22 +122,17 @@ class ActivityScore:
     mode: str = "step"
 
 
+def _role(roles_by_id: dict[str, str], events) -> str:
+    """One step's declared role: "other" if no event is tagged, else the
+    sorted roles of its tags joined by "+"."""
+    roles = sorted({roles_by_id[ev.via_structure] for ev in events if ev.via_structure})
+    return "+".join(roles) or "other"
+
+
 def attribution(t: Trace, window: tuple[int, int]) -> tuple[str, ...]:
     """Per-step declared-role sequence from via_structure tags."""
     start, stop = check_window(t, window)
-    roles_by_id = {d.id: d.role for d in t.declarations}
-    out: list[str] = []
-    for i in range(start, stop):
-        roles = sorted(
-            {roles_by_id[ev.via_structure] for ev in t.events[i] if ev.via_structure}
-        )
-        if not roles:
-            out.append("other")
-        elif len(roles) == 1:
-            out.append(roles[0])
-        else:
-            out.append("+".join(roles))
-    return tuple(out)
+    return tuple(t._step_facts.roles(start, stop))
 
 
 def _movement(
@@ -220,24 +220,77 @@ def _system(first: Snapshot) -> list[RegionId]:
 
 
 def _step_witnesses(
-    t: Trace, step: int, system: list[RegionId], region_side: dict[RegionId, str]
+    step: int, events, system: list[RegionId], region_side: dict[RegionId, str]
 ) -> list[Witness]:
     """One step's witnesses from its events alone: each region's count
     change is its arrivals minus its departures."""
-    moves = [(eid, ev.from_region, ev.to_region) for ev in t.events[step] for eid in ev.moved]
+    moves = [(eid, ev.from_region, ev.to_region) for ev in events for eid in ev.moved]
     delta = Counter(dst for _, _, dst in moves)
     delta.subtract(src for _, src, _ in moves)
     return _witnesses(step, system, delta, _movement(region_side, moves))
 
 
+def _filled(known: list, start: int, stop: int, fact) -> list:
+    """``known[start:stop]``, after computing each entry still None as
+    ``fact(i)``. The caller has range-checked the window: a negative index
+    would wrap around the list."""
+    for i in range(start, stop):
+        if known[i] is None:
+            known[i] = fact(i)
+    return known[start:stop]
+
+
+class _StepFacts:
+    """The per-step facts of one trace, held by the trace (``Trace._step_facts``).
+
+    Each depends only on its step's events and the initial region sides or
+    the declared roles, and is computed the first time its step is asked
+    for: ``witnesses`` (the step's witness tuple), ``roles`` (its attributed
+    role) and ``crossers`` (how many elements its ``external_in`` and
+    ``external_out`` events moved). The three fill apart, so a query pays
+    only for the facts it reads. Nothing here refers back to the trace, so
+    the table is freed with it.
+    """
+
+    def __init__(self, t: Trace) -> None:
+        self._events = t.events
+        self._system = _system(t.initial)
+        self._region_side = t.initial.region_side
+        self._roles_by_id = {d.id: d.role for d in t.declarations}
+        n = len(t.events)
+        self._witnesses: list[tuple[Witness, ...] | None] = [None] * n
+        self._roles: list[str | None] = [None] * n
+        self._crossers: list[int | None] = [None] * n
+
+    def witnesses(self, start: int, stop: int) -> list[tuple[Witness, ...]]:
+        return _filled(
+            self._witnesses,
+            start,
+            stop,
+            lambda i: tuple(_step_witnesses(i, self._events[i], self._system, self._region_side)),
+        )
+
+    def roles(self, start: int, stop: int) -> list[str]:
+        return _filled(
+            self._roles, start, stop, lambda i: _role(self._roles_by_id, self._events[i])
+        )
+
+    def crossers(self, start: int, stop: int) -> list[int]:
+        return _filled(
+            self._crossers,
+            start,
+            stop,
+            lambda i: sum(
+                len(ev.moved) for ev in self._events[i] if ev.kind in (EXTERNAL_IN, EXTERNAL_OUT)
+            ),
+        )
+
+
 def _first(t: Trace, step: int, condition: str) -> Witness | None:
     if not (0 <= step < t.n_steps):
         raise WindowError(f"step {step} outside steps 0:{t.n_steps}")
-    first = t.initial
-    for w in _step_witnesses(t, step, _system(first), first.region_side):
-        if w.condition == condition:
-            return w
-    return None
+    (witnesses,) = t._step_facts.witnesses(step, step + 1)
+    return next((w for w in witnesses if w.condition == condition), None)
 
 
 def witness_input(t: Trace, step: int) -> Witness | None:
@@ -253,7 +306,10 @@ def witness_processing(t: Trace, step: int) -> Witness | None:
 
 
 def _report(
-    t: Trace, window: tuple[int, int], witnesses: list[Witness], has: dict[str, bool]
+    window: tuple[int, int],
+    witnesses: list[Witness],
+    has: dict[str, bool],
+    roles: tuple[str, ...],
 ) -> IntelligenceReport:
     return IntelligenceReport(
         window=window,
@@ -262,20 +318,16 @@ def _report(
         has_processing=has["processing"],
         has_output=has["output"],
         verdict=has["input"] and has["processing"] and has["output"],
-        attribution=attribution(t, window),
+        attribution=roles,
     )
 
 
 def classify(t: Trace, window: tuple[int, int]) -> IntelligenceReport:
     """Aggregate witnesses over the window and render the verdict."""
     start, stop = check_window(t, window)
-    first = t.initial
-    system = _system(first)
-    witnesses: list[Witness] = []
-    for i in range(start, stop):
-        witnesses.extend(_step_witnesses(t, i, system, first.region_side))
+    witnesses = [w for ws in t._step_facts.witnesses(start, stop) for w in ws]
     has = {c: any(w.condition == c for w in witnesses) for c in CONDITIONS}
-    return _report(t, (start, stop), witnesses, has)
+    return _report((start, stop), witnesses, has, attribution(t, window))
 
 
 def _region_deltas(before: Snapshot, after: Snapshot) -> dict[RegionId, int]:
@@ -356,7 +408,9 @@ def brute_force_classify(t: Trace, window: tuple[int, int]) -> IntelligenceRepor
                 system, delta, boundary_touched
             )
 
-    return _report(t, (start, stop), witnesses, has)
+    roles_by_id = {d.id: d.role for d in t.declarations}
+    roles = tuple(_role(roles_by_id, t.events[i]) for i in range(start, stop))
+    return _report((start, stop), witnesses, has, roles)
 
 
 def activity(t: Trace, window: tuple[int, int], mode: str = "step") -> ActivityScore:
@@ -365,16 +419,10 @@ def activity(t: Trace, window: tuple[int, int], mode: str = "step") -> ActivityS
         raise ConstructionError(f"unknown activity mode {mode!r}")
     start, stop = check_window(t, window)
     length = stop - start
-    active_steps = 0
-    moved = 0
-    for i in range(start, stop):
-        crossings = [ev for ev in t.events[i] if ev.kind in (EXTERNAL_IN, EXTERNAL_OUT)]
-        if crossings:
-            active_steps += 1
-            moved += sum(len(ev.moved) for ev in crossings)
+    crossers = t._step_facts.crossers(start, stop)
     return ActivityScore(
         window=(start, stop),
-        step_activity=active_steps / length,
-        element_rate=moved / length,
+        step_activity=sum(1 for moved in crossers if moved) / length,
+        element_rate=sum(crossers) / length,
         mode=mode,
     )

@@ -50,6 +50,12 @@ EXTERNAL_IN = "external_in"
 EXTERNAL_OUT = "external_out"
 INTERNAL = "internal"
 EVENT_KINDS = (EXTERNAL_IN, EXTERNAL_OUT, INTERNAL)
+# the (from, to) region sides each event kind connects
+_SIDES = {
+    EXTERNAL_IN: (ENVIRONMENT, SYSTEM),
+    EXTERNAL_OUT: (SYSTEM, ENVIRONMENT),
+    INTERNAL: (SYSTEM, SYSTEM),
+}
 
 
 class StepError(ConstructionError):
@@ -139,12 +145,7 @@ def _check_event(
 
     from_side = region_side[ev.from_region]
     to_side = region_side[ev.to_region]
-    expected = {
-        EXTERNAL_IN: (ENVIRONMENT, SYSTEM),
-        EXTERNAL_OUT: (SYSTEM, ENVIRONMENT),
-        INTERNAL: (SYSTEM, SYSTEM),
-    }[ev.kind]
-    if (from_side, to_side) != expected:
+    if (from_side, to_side) != _SIDES[ev.kind]:
         raise StepError(
             step,
             f"{ev.kind} event connects {from_side} to {to_side} "
@@ -361,6 +362,15 @@ class Trace:
     @cached_property
     def snapshots(self) -> _Replay:
         return _Replay(self.initial, self.events)
+
+    @cached_property
+    def _step_facts(self):
+        """The classify module's table of per-step facts, filled as steps are
+        asked for. Not a field, so equality, ``repr`` and
+        ``dataclasses.replace`` ignore it, and it is freed with the trace."""
+        from .classify import _StepFacts  # classify builds on this module
+
+        return _StepFacts(self)
 
     @property
     def n_steps(self) -> int:

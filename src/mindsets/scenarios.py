@@ -544,37 +544,42 @@ def sandpile_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
     for i, g in enumerate(grains):
         b.add(g, "slope" if i < n_slope else "base" if i < n_slope + n_base else "air")
     b.add("wind_0", "air")
-    where = dict(b.membership)
+    members: dict[str, set[str]] = {"air": set(), "slope": set(), "base": set()}
+    for g in grains:
+        members[b.membership[g]].add(g)
 
-    def grains_in(region: str) -> list[str]:
-        return sorted(g for g in grains if where[g] == region)
+    def move(g: str, src: str, dst: str) -> None:
+        members[src].remove(g)
+        members[dst].add(g)
 
     for _ in range(gusts):
-        inside = len(grains_in("slope")) + len(grains_in("base"))
+        inside = len(members["slope"]) + len(members["base"])
 
         movers = ["wind_0"]
-        airborne = grains_in("air")
+        airborne = sorted(members["air"])
         if airborne and (inside <= 3 or rng.random() < 0.5):
             picked = airborne[int(rng.integers(0, len(airborne)))]
             movers.append(picked)
-            where[picked] = "slope"
+            move(picked, "air", "slope")
         b.step((EXTERNAL_IN, movers, "air", "slope", "input_structure"))
 
-        slope_g, base_g = grains_in("slope"), grains_in("base")
-        src, dst = ("slope", "base") if len(slope_g) >= len(base_g) else ("base", "slope")
-        pool = grains_in(src)
+        if len(members["slope"]) >= len(members["base"]):
+            src, dst = "slope", "base"
+        else:
+            src, dst = "base", "slope"
+        pool = sorted(members[src])
         k = int(rng.integers(1, min(3, len(pool)) + 1))
         shuffled = [pool[i] for i in sorted(rng.choice(len(pool), size=k, replace=False))]
         for g in shuffled:
-            where[g] = dst
+            move(g, src, dst)
         b.step((INTERNAL, shuffled, src, dst, "processing_structure"))
 
         out_moves = [(EXTERNAL_OUT, ["wind_0"], "slope", "air", "output_structure")]
-        base_g = grains_in("base")
-        inside = len(grains_in("slope")) + len(base_g)
-        if base_g and inside >= 4 and rng.random() < 0.5:
+        inside = len(members["slope"]) + len(members["base"])
+        if members["base"] and inside >= 4 and rng.random() < 0.5:
+            base_g = sorted(members["base"])
             blown = base_g[int(rng.integers(0, len(base_g)))]
-            where[blown] = "air"
+            move(blown, "base", "air")
             out_moves.append((EXTERNAL_OUT, [blown], "base", "air", "output_structure"))
         b.step(*out_moves)
 

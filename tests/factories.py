@@ -48,9 +48,10 @@ def two_region_snapshot(
 
 
 def random_trace(
-    rng: random.Random, with_metadata: bool = False, max_steps: int = 6
+    rng: random.Random, with_metadata: bool = False, max_steps: int = 6, min_steps: int = 1
 ) -> Trace:
-    """A small valid trace: at most 8 elements, 3+2 regions, `max_steps` steps.
+    """A small valid trace: at most 8 elements, 3+2 regions, `min_steps` to
+    `max_steps` steps.
 
     Each step draws up to two events whose {from, to} footprints do not
     overlap, and no element moves twice in a step. With `with_metadata`,
@@ -78,7 +79,7 @@ def random_trace(
         ]
 
     where = dict(membership)
-    n_steps = rng.randint(1, max_steps)
+    n_steps = rng.randint(min_steps, max_steps)
     schedule: list[list[TransferEvent]] = []
     for step in range(n_steps):
         events: list[TransferEvent] = []

@@ -34,6 +34,9 @@ from mindsets import (
     time_category,
     trace_to_text,
     verify_conservation,
+    witness_input,
+    witness_output,
+    witness_processing,
     write_trace,
     TransferEvent,
     EXTERNAL_IN,
@@ -399,3 +402,42 @@ def test_long_trace_round_trips(stamp, tmp_path):
     )
     stamp("long-round-trip", ok, time.perf_counter() - started, 3,
           f"sandpile {t.n_steps} steps read back equal and rewritten byte-identical")
+
+
+def test_window_queries_on_a_loaded_trace(stamp, tmp_path):
+    # each step's facts are computed once per trace, so thousands of short
+    # window queries on one freshly read trace cost little more than one
+    # full-window pass; recomputing them per query took 1.6-2.1 s here
+    path = tmp_path / "hebbian.trace"
+    write_trace(generate("hebbian", trials=600, test_count=150).trace, path)
+    t = read_trace(path)
+    rng = random.Random(0)
+    n = t.n_steps
+    jobs = []
+    for _ in range(5000):
+        length = rng.randint(1, 29)
+        start = rng.randint(0, n - length)
+        jobs.append((start, start + length, rng.choice(("step", "element")), rng.randrange(n)))
+    started = time.perf_counter()
+    answers = [
+        (
+            classify(t, (start, stop)),
+            activity(t, (start, stop), mode=mode),
+            (witness_input(t, step), witness_processing(t, step), witness_output(t, step)),
+        )
+        for start, stop, mode, step in jobs
+    ]
+    elapsed = time.perf_counter() - started
+    reference = read_trace(path)
+    wrong = sum(
+        answer
+        != (
+            classify(reference, (start, stop)),
+            activity(reference, (start, stop), mode=mode),
+            (witness_input(reference, step), witness_processing(reference, step),
+             witness_output(reference, step)),
+        )
+        for answer, (start, stop, mode, step) in zip(answers[::50], jobs[::50])
+    )
+    stamp("window-queries", n == 2250 and wrong == 0, elapsed, 1,
+          f"hebbian trials=600: 5000 window jobs on {n} steps, {wrong} of 100 checked wrong")

@@ -1,6 +1,10 @@
 """Witness extraction, qualification, attribution, and the activity metric."""
 
+import dataclasses
+import importlib
+import pickle
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -28,6 +32,9 @@ from mindsets import (
 )
 
 from factories import random_trace
+
+# the package root rebinds the name `classify` to the function
+classify_module = importlib.import_module("mindsets.classify")
 
 REGION_SIDE = {
     "lab": "environment",
@@ -267,6 +274,111 @@ def test_oracle_agreement_on_disciplined_random_traces():
         for condition in ("input", "processing", "output"):
             assert a.steps_with(condition) == b.steps_with(condition)
         assert a.witnesses == b.witnesses
+
+
+def test_oracle_agreement_on_short_windows_of_long_random_traces():
+    # windows of at most 8 steps, the oracle's guard, at random places in
+    # 1000-step traces; the fast path's table fills in the order asked
+    for seed in range(4):
+        rng = random.Random(seed)
+        t = random_trace(rng, with_metadata=True, min_steps=1000, max_steps=1000)
+        for _ in range(60):
+            start = rng.randrange(t.n_steps)
+            window = (start, min(t.n_steps, start + rng.randint(1, 8)))
+            assert classify(t, window) == brute_force_classify(t, window), (seed, window)
+
+
+def test_oracle_reads_no_step_facts(monkeypatch):
+    t = random_trace(random.Random(7), with_metadata=True, min_steps=20, max_steps=20)
+    expected = [brute_force_classify(t, (i, i + 3)) for i in range(t.n_steps - 2)]
+
+    def no_step_witnesses(*args):
+        raise AssertionError("computed a step's witnesses")
+
+    monkeypatch.setattr(classify_module, "_step_witnesses", no_step_witnesses)
+    fresh = dataclasses.replace(t)
+    assert [brute_force_classify(fresh, (i, i + 3)) for i in range(t.n_steps - 2)] == expected
+    assert "_step_facts" not in vars(fresh)
+    # the fast path does compute them, so the patch would have been seen
+    with pytest.raises(AssertionError, match="computed a step's witnesses"):
+        classify(fresh, (0, 1))
+
+
+QUERIES = ("classify", "activity-step", "activity-element", "attribution",
+           "witness_input", "witness_processing", "witness_output")
+
+
+def query(t, name, window, step):
+    if name == "classify":
+        return classify(t, window)
+    if name.startswith("activity-"):
+        return activity(t, window, mode=name.split("-")[1])
+    if name == "attribution":
+        return attribution(t, window)
+    return getattr(classify_module, name)(t, step)
+
+
+def query_sequence(rng, n_steps, length, full_first):
+    """Mixed queries on overlapping windows, with the full window first or last."""
+    calls = []
+    for _ in range(length):
+        start = rng.randrange(n_steps)
+        window = (start, rng.randint(start + 1, min(n_steps, start + 12)))
+        calls.append((rng.choice(QUERIES), window, rng.randrange(n_steps)))
+    full = [(name, (0, n_steps), rng.randrange(n_steps)) for name in QUERIES]
+    return full + calls if full_first else calls + full
+
+
+def sequence_subjects():
+    for seed in range(40):
+        rng = random.Random(seed)
+        yield f"random-{seed}", rng, random_trace(rng, with_metadata=seed % 2 == 0, max_steps=40)
+    for name in ("hebbian", "backprop", "aplysia", "sandpile"):
+        yield name, random.Random(name), make_scenario(name, ScenarioConfig(trials=12, test_count=4)).trace
+    yield "off", random.Random("off"), make_scenario("off", ScenarioConfig(), steps=30).trace
+
+
+@pytest.mark.parametrize("full_first", [True, False], ids=["full-first", "full-last"])
+def test_repeated_queries_equal_queries_on_a_fresh_trace(full_first):
+    # one trace answers every query from its table of step facts; each
+    # answer must equal the one an equal trace gives with an empty table
+    for label, rng, t in sequence_subjects():
+        for name, window, step in query_sequence(rng, t.n_steps, 30, full_first):
+            fresh = dataclasses.replace(t)
+            assert query(t, name, window, step) == query(fresh, name, window, step), (
+                label, name, window, step
+            )
+        # the table is not a field: equality and repr are the fields' alone
+        assert t == fresh and repr(t) == repr(fresh)
+
+
+def test_step_facts_go_with_their_trace():
+    t = make_scenario("sandpile", ScenarioConfig(trials=3)).trace
+    report = classify(t, (0, t.n_steps))
+    # a queried trace still pickles, and its copy answers alike
+    copy = pickle.loads(pickle.dumps(t))
+    assert copy == t and classify(copy, (0, t.n_steps)) == report
+    table = weakref.ref(t._step_facts)
+    del t
+    # no reference cycle holds the table, so it goes with the last reference
+    assert table() is None
+
+
+def test_range_checks_hold_once_the_table_is_full():
+    t = make_scenario("aplysia", ScenarioConfig(trials=4, test_count=2)).trace
+    n = t.n_steps
+    classify(t, (0, n))
+    activity(t, (0, n))
+    for witness in (witness_input, witness_processing, witness_output):
+        for step in range(n):
+            witness(t, step)
+        for step in (-1, n):
+            with pytest.raises(WindowError, match="outside steps"):
+                witness(t, step)
+    for window in ((-1, 2), (0, n + 1), (n, n + 1), (-1, 0)):
+        for name in QUERIES[:4]:
+            with pytest.raises(WindowError, match="outside steps"):
+                query(t, name, window, 0)
 
 
 def test_fast_path_reads_events_and_the_first_snapshot_only(monkeypatch):
