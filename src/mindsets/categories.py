@@ -2,8 +2,8 @@
 
 Objects of the time category are step indices 0..n with exactly one arrow
 i -> j when i <= j. A trace induces a functor into intelligence objects:
-each step yields the triple of role carriers evaluated at that snapshot,
-and each arrow yields the map that follows tuples which stay in scope the
+each step yields the triple of role carriers in scope at that step, and
+each arrow yields the map that follows tuples which stay in scope the
 whole way (tuples that leave scope drop out of the map's domain). An
 intelligence category is its time functor's own object and arrow tables,
 so `IntelligenceCategory` is another name for `TimeFunctor`. Mimicry
@@ -16,11 +16,18 @@ law check and composition.
 A trace functor stores no arrows. The category is generated by its steps
 (i, i+1), and arrow (i, j) is the identity on the tuples present at every
 step from i to j, so the functor keeps, per step and role, each carrier
-tuple's run end: the last step its presence reaches without a gap. One
-backward pass over the objects gives them, and `morphism(i, j)` is the
-partial identity on the tuples of carrier i whose run end is >= j. The
-full table, O(n^2) morphisms, is built only when `table()` is read: by the
-oracles and by hand-built functors, which hold a table instead.
+tuple's run end: the last step its presence reaches without a gap, and
+`morphism(i, j)` is the partial identity on the tuples of carrier i whose
+run end is >= j. The carriers come from the trace's initial snapshot and
+its events, not from replayed snapshots: a step re-tests only the declared
+tuples that hold an element it moved, and a role's carrier that a step
+leaves as it was is the last step's frozenset. One backward pass gives the
+run ends, and a step whose carrier is the next step's object shares that
+step's run-end dict. Every reader of the steps then follows one rule: a
+step whose inputs are the same objects as its neighbour's has its
+neighbour's answer. The full table, O(n^2) morphisms, is built only when
+`table()` is read: by the oracles and by hand-built functors, which hold a
+table instead.
 
 Law checking is extensional, so every report can name the object, arrow or
 triple that broke. Along a monotone, in-range object map into a trace
@@ -46,7 +53,7 @@ from functools import cached_property
 from math import comb
 
 from .evolution import Trace
-from .universe import ConstructionError, ElementId, StructureRelation, carrier_at
+from .universe import ConstructionError, ElementId, StructureRelation, _in_scope, carrier_at
 
 __all__ = [
     "FUNCTOR_ROLES",
@@ -262,6 +269,12 @@ class TimeFunctor:
     def _run_table(self) -> dict[tuple[int, int], IntelligenceMorphism]:
         return {(i, j): self.morphism(i, j) for i, j in _arrows(self.n + 1)}
 
+    @cached_property
+    def _lawful_runs(self) -> bool:
+        """`_runs_hold` on this functor, computed once: the law check and
+        mimicry validation both read it."""
+        return _runs_hold(self)
+
     def object_at(self, i: int) -> IntelligenceObject:
         return self.objects[i]
 
@@ -296,22 +309,55 @@ def functor_from_trace(t: Trace) -> TimeFunctor:
     Morphisms follow tuples that stay in scope through every intermediate
     snapshot; everything else drops out of the domain. The functor stores
     the run ends of its carrier tuples, not its arrows.
+
+    No snapshot is replayed. One running membership follows the events
+    from the initial snapshot, and an index from each element to the
+    declared tuples that hold it names the tuples a step re-tests, with
+    `carrier_at`'s presence test. A role whose carrier a step leaves as it
+    was keeps the last step's frozenset, and so the same run-end dict. The
+    build is O(steps + moves + declared tuples), and the functor holds one
+    frozenset and one dict per role for each stretch of unchanged steps.
     """
-    decls = _role_declarations(t)
-    objects = tuple(
-        IntelligenceObject(i, *(carrier_at(decls[role], snap) for role in FUNCTOR_ROLES))
-        for i, snap in enumerate(t.snapshots)
-    )
+    decls = list(_role_declarations(t).values())  # in FUNCTOR_ROLES order
+    holding: dict[ElementId, list[tuple[int, Tuple_]]] = {}
+    for r, decl in enumerate(decls):
+        for tup in decl.tuples:
+            for e in set(tup):
+                holding.setdefault(e, []).append((r, tup))
+    membership = dict(t.initial.membership)
+    present = [set(carrier_at(decl, t.initial)) for decl in decls]
+    carriers = [tuple(frozenset(c) for c in present)]
+    for events in t.events:
+        retest = set()
+        for ev in events:
+            for e in ev.moved:  # the replay's moves, in its order
+                membership[e] = ev.to_region
+                retest.update(holding.get(e, ()))
+        changed = set()
+        for r, tup in retest:
+            if _in_scope(tup, membership, decls[r].scope) != (tup in present[r]):
+                present[r] ^= {tup}
+                changed.add(r)
+        last = carriers[-1]
+        if changed:
+            last = tuple(frozenset(c) if r in changed else was
+                         for r, (c, was) in enumerate(zip(present, last)))
+        carriers.append(last)
+    objects = tuple(IntelligenceObject(i, *c) for i, c in enumerate(carriers))
 
     # backwards: a tuple present at i+1 keeps its run end from there, any
-    # other tuple's run ends at i
+    # other tuple's run ends at i; a carrier that is step i+1's object has
+    # step i+1's ends
     runs: list[RunEnds] = []
     later: RunEnds = ({},) * len(FUNCTOR_ROLES)
-    for obj in reversed(objects):
-        later = tuple(
-            {x: ends.get(x, obj.step) for x in carrier}
-            for carrier, ends in zip(obj.carriers(), later)
-        )
+    after: tuple = (None,) * len(FUNCTOR_ROLES)
+    for i in range(t.n_steps, -1, -1):
+        if carriers[i] is not after:
+            later = tuple(
+                ends if carrier is next_carrier else {x: ends.get(x, i) for x in carrier}
+                for carrier, next_carrier, ends in zip(carriers[i], after, later)
+            )
+            after = carriers[i]
         runs.append(later)
     return TimeFunctor(n=t.n_steps, objects=objects, run_ends=tuple(reversed(runs)))
 
@@ -361,16 +407,20 @@ class MimicryFunctor:
 
         Along a monotone o in range, run ends pull back to run ends: a tuple of
         target carrier o(i) whose run end there is R runs to the last step j
-        with o(j) <= R. Otherwise the table is pulled back, leaving out arrows
-        the target lacks, so the law sweep reports them.
+        with o(j) <= R. That depends on the target's dict alone, so each
+        distinct one is pulled back once and shared by every step that reads
+        it. Otherwise the table is pulled back, leaving out arrows the target
+        lacks, so the law sweep reports them.
         """
         o, tgt = self.object_map, self.target
         objects = tuple(tgt.objects[x] for x in o)
         if tgt.run_ends is not None and all(0 <= x <= tgt.n for x in o) and sorted(o) == list(o):
-            runs = tuple(
-                tuple({y: bisect_right(o, end) - 1 for y, end in ends.items()} for ends in step)
-                for step in (tgt.run_ends[x] for x in o)
-            )
+            distinct = {id(ends): ends for x in set(o) for ends in tgt.run_ends[x]}
+            pulled = {
+                key: {y: bisect_right(o, end) - 1 for y, end in ends.items()}
+                for key, ends in distinct.items()
+            }
+            runs = tuple(tuple(pulled[id(ends)] for ends in tgt.run_ends[x]) for x in o)
             return TimeFunctor(n=len(o) - 1, objects=objects, run_ends=runs)
         tgt_table = tgt.table()
         pulled = {(i, j): (o[i], o[j]) for i, j in _arrows(len(o))}
@@ -412,11 +462,16 @@ def mimicry_functor(
         if o[i] > o[i + 1]:
             raise MimicryError("object map is not monotone", counterexample=(i, i + 1))
 
+    # a role whose source and target carriers are the step before's passes again
+    before = ((None, None),) * len(FUNCTOR_ROLES)
     for i, obj in enumerate(source.objects):
-        for role in FUNCTOR_ROLES:
+        pairs = tuple(zip(obj.carriers(), target.objects[o[i]].carriers()))
+        for role, pair, (was, target_was) in zip(FUNCTOR_ROLES, pairs, before):
+            carrier, target_carrier = pair
+            if carrier is was and target_carrier is target_was:
+                continue
             comp = components[role]
-            target_carrier = target.objects[o[i]].carrier(role)
-            for x in sorted(obj.carrier(role)):
+            for x in sorted(carrier):
                 if x not in comp:
                     raise MimicryError(
                         f"{role} component undefined on a source tuple",
@@ -427,11 +482,12 @@ def mimicry_functor(
                         f"image tuple outside target {role} carrier",
                         counterexample=(i, role, x, comp[x]),
                     )
+        before = pairs
 
     # copies, so the caller's later edits cannot reach a validated functor
     g = MimicryFunctor(source, target, o, *(dict(components[role]) for role in FUNCTOR_ROLES))
     pulled = g._pullback
-    if _runs_hold(source) and _runs_hold(pulled):
+    if isinstance(source, TimeFunctor) and source._lawful_runs and pulled._lawful_runs:
         _check_run_ends(source, pulled, components)
     else:
         _check_every_arrow(source, pulled, components)
@@ -472,13 +528,16 @@ def _check_run_ends(source, pulled: TimeFunctor, components) -> None:
     Every arrow is then a partial identity, so only survival can fail: tuple x
     of carrier i with run end e survives (i, j) while j <= e, and its image,
     with run end P in the pullback at i, survives while j <= P. The image is
-    lost exactly when P < e, first at j = P + 1.
+    lost exactly when P < e, first at j = P + 1. That reads the two dicts
+    alone, so a role whose dicts are the step before's loses nothing there.
     """
     maps = [components[role] for role in FUNCTOR_ROLES]
+    was, images_were = (None,) * len(maps), (None,) * len(maps)
     for i, (ends, images) in enumerate(zip(source.run_ends, pulled.run_ends)):
         lost = [
             (images[r][comp[x]] + 1, r, x)
             for r, comp in enumerate(maps)
+            if ends[r] is not was[r] or images[r] is not images_were[r]
             for x, e in ends[r].items()
             if images[r][comp[x]] < e
         ]
@@ -488,6 +547,7 @@ def _check_run_ends(source, pulled: TimeFunctor, components) -> None:
             raise MimicryError(
                 f"{role} image does not survive in the target", counterexample=(i, j, role, x)
             )
+        was, images_were = ends, images
 
 
 def identity_functor(cat: IntelligenceCategory) -> MimicryFunctor:
@@ -630,11 +690,14 @@ def _runs_hold(f) -> bool:
 
     At each step i the run ends' keys must be carrier i, no end may lie
     below i, and an end beyond i must reappear unchanged at step i+1, so no
-    end passes n. One backward pass, O(n + the carriers' sizes). A tuple
-    whose end at i is R then stays in every carrier from i to R with that
-    end, so arrow (i, j), the identity on the tuples whose end is >= j, is
-    (i, k-1) ; (k-1, k) and every law holds, as on a table that factors
-    through its steps. The ends need not be the longest runs: a pullback
+    end passes n. One backward pass. A role whose dict and carrier at i are
+    the objects it has at i+1 meets these at i because it met them at i+1,
+    so the pass costs O(n) plus the sizes of the distinct dicts. A functor
+    keeps the answer as `_lawful_runs`, so mimicry validation and the law
+    check make this pass once per functor. A tuple whose end at i is R then
+    stays in every carrier from i to R with that end, so arrow (i, j), the
+    identity on the tuples whose end is >= j, is (i, k-1) ; (k-1, k) and
+    every law holds, as on a table that factors through its steps. The ends need not be the longest runs: a pullback
     ends a run at i when its tuple leaves and comes back between target
     steps o(i) and o(i+1).
     """
@@ -643,15 +706,21 @@ def _runs_hold(f) -> bool:
     if len(f.run_ends) != f.n + 1 or len(f.objects) != f.n + 1:
         return False
     later: RunEnds = ({},) * len(FUNCTOR_ROLES)
+    later_carriers: tuple = (None,) * len(FUNCTOR_ROLES)
     for i in range(f.n, -1, -1):
         if len(f.run_ends[i]) != len(FUNCTOR_ROLES):
             return False
-        for ends, carrier, after in zip(f.run_ends[i], f.objects[i].carriers(), later):
+        carriers = f.objects[i].carriers()
+        for ends, carrier, after, after_carrier in zip(
+            f.run_ends[i], carriers, later, later_carriers
+        ):
+            if ends is after and carrier is after_carrier:
+                continue
             if ends.keys() != carrier:
                 return False
             if any(end < i or end > i and after.get(x) != end for x, end in ends.items()):
                 return False
-        later = f.run_ends[i]
+        later, later_carriers = f.run_ends[i], carriers
     return True
 
 
@@ -665,6 +734,6 @@ def check_functor_laws(f) -> LawReport:
     anything else gets the report of `sweep_functor_laws` on the table.
     """
     f = _time_functor(f)
-    if _runs_hold(f) or (not _arrow_failures(f) and _factors_through_steps(f)):
+    if f._lawful_runs or (not _arrow_failures(f) and _factors_through_steps(f)):
         return LawReport(f.n + 1, comb(f.n + 3, 3), failures=())
     return sweep_functor_laws(f)

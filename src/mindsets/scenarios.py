@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from math import ceil, isfinite
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .evolution import (
     EXTERNAL_IN,
@@ -40,6 +39,9 @@ from .universe import (
     StructureRelation,
     make_snapshot,
 )
+
+if TYPE_CHECKING:  # numpy is imported by the generators that draw numbers
+    import numpy as np
 
 __all__ = [
     "ScenarioConfig",
@@ -213,6 +215,8 @@ def _two_phases(learning_stop: int, test_stop: int) -> list[Phase]:
 
 def _prototypes(pattern_size: int, class_count: int) -> np.ndarray:
     """Class c lights row c of the grid; rows are disjoint, so separable."""
+    import numpy as np
+
     protos = np.zeros((class_count, pattern_size * pattern_size), dtype=np.int64)
     for c in range(class_count):
         protos[c, c * pattern_size : (c + 1) * pattern_size] = 1
@@ -223,6 +227,8 @@ def _sample_patterns(
     rng: np.random.Generator, protos: np.ndarray, labels: list[int], noise: float
 ) -> np.ndarray:
     """Noisy copies of the labelled prototypes; never all-dark."""
+    import numpy as np
+
     n_px = protos.shape[1]
     out = np.empty((len(labels), n_px), dtype=np.int64)
     for i, y in enumerate(labels):
@@ -235,6 +241,8 @@ def _sample_patterns(
 
 
 def _lit(x: np.ndarray) -> list[int]:
+    import numpy as np
+
     return [int(p) for p in np.flatnonzero(x)]
 
 
@@ -285,6 +293,8 @@ def hebbian_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
     meaningful=0; test responses carry the judged class, picked by the
     largest norm of weights gated by the pattern.
     """
+    import numpy as np
+
     cfg.validate()
     pixels, learn, test = _pattern_task(cfg, np.random.default_rng(cfg.seed))
     nets = [f"net_{c}" for c in range(cfg.class_count)]
@@ -336,6 +346,8 @@ def hebbian_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     e = np.exp(z - z.max())
     return e / e.sum()
 
@@ -349,6 +361,8 @@ def backprop_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
     the batch retired inward while the hidden weights update. Only test
     trials emit anything to the environment.
     """
+    import numpy as np
+
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     pixels, learn, test = _pattern_task(cfg, rng)
@@ -533,6 +547,8 @@ def sandpile_scenario(cfg: ScenarioConfig) -> ScenarioBundle:
     or back in; the schedule keeps at least a few grains inside so the
     internal step always has something to shuffle.
     """
+    import numpy as np
+
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     gusts = cfg.trials

@@ -216,13 +216,16 @@ def carrier_at(
     Elements that have left the scope regions drop the tuples they appear in;
     the declared tuple set itself never changes.
     """
-    scope = relation.scope
-    membership = snapshot.membership
-    out = []
-    for tup in relation.tuples:
-        if all(e in membership and membership[e] in scope for e in tup):
-            out.append(tup)
-    return frozenset(out)
+    scope, membership = relation.scope, snapshot.membership
+    return frozenset(tup for tup in relation.tuples if _in_scope(tup, membership, scope))
+
+
+def _in_scope(
+    tup: tuple[ElementId, ...], membership: dict[ElementId, RegionId], scope: frozenset[RegionId]
+) -> bool:
+    """Whether every element of ``tup`` has a region in ``membership``, and
+    that region is in ``scope``."""
+    return all(e in membership and membership[e] in scope for e in tup)
 
 
 def remove_product(

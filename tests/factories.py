@@ -5,8 +5,9 @@ their events' region footprints pairwise disjoint, matching the discipline
 the library's own generators follow; the oracle-equivalence argument leans
 on that, so the factory is the place where it is enforced. `out_and_back`
 and `steady_trace` stage carriers that blink or stay put, for the functor
-and mimicry checks. `eager_snapshots` and `conservation_scan` are the
-oracles for the trace replay and for `verify_conservation`.
+and mimicry checks. `eager_snapshots`, `conservation_scan` and
+`snapshot_functor` are the oracles for the trace replay, for
+`verify_conservation` and for `functor_from_trace`.
 """
 
 from __future__ import annotations
@@ -20,15 +21,19 @@ from mindsets import (
     EXTERNAL_OUT,
     INTERNAL,
     ConservationViolation,
+    IntelligenceObject,
     Phase,
     Snapshot,
     StructureRelation,
+    TimeFunctor,
     Trace,
     TransferEvent,
     apply_step,
     build_trace,
+    carrier_at,
     make_snapshot,
 )
+from mindsets.categories import FUNCTOR_ROLES
 
 SYSTEM_REGIONS = ("s0", "s1", "s2")
 ENV_REGIONS = ("v0", "v1")
@@ -243,6 +248,25 @@ def conservation_scan(snapshots) -> list[ConservationViolation]:
                 )
             )
     return violations
+
+
+def snapshot_functor(t: Trace) -> TimeFunctor:
+    """The oracle for `functor_from_trace`: `carrier_at` on each replayed
+    snapshot, then one backward pass in which a tuple present at i+1 keeps
+    its run end from there and any other tuple's run ends at i."""
+    decls = [t.declarations_by_role()[role][0] for role in FUNCTOR_ROLES]
+    objects = tuple(
+        IntelligenceObject(i, *(carrier_at(decl, snap) for decl in decls))
+        for i, snap in enumerate(t.snapshots)
+    )
+    runs, later = [], ({},) * len(FUNCTOR_ROLES)
+    for obj in reversed(objects):
+        later = tuple(
+            {x: ends.get(x, obj.step) for x in carrier}
+            for carrier, ends in zip(obj.carriers(), later)
+        )
+        runs.append(later)
+    return TimeFunctor(n=t.n_steps, objects=objects, run_ends=tuple(reversed(runs)))
 
 
 def nearest_centroid_predictions(

@@ -387,6 +387,17 @@ def test_conservation_at_the_largest_scale(stamp):
           f"hebbian trials=4000: {t.n_steps} steps, {len(violations)} violations")
 
 
+def test_functor_at_the_largest_scale(stamp):
+    # carriers come from the events and unchanged steps share them, so no
+    # snapshot is replayed; generation is left out of the timing
+    t = generate("hebbian", trials=4000, test_count=1000).trace
+    started = time.perf_counter()
+    laws = check_functor_laws(functor_from_trace(t))
+    ok = t.n_steps == 15000 and laws.passed and laws.objects_checked == 15001
+    stamp("functor-at-largest-scale", ok, time.perf_counter() - started, 2,
+          f"hebbian trials=4000: {t.n_steps} steps built and law-checked")
+
+
 def test_long_trace_round_trips(stamp, tmp_path):
     started = time.perf_counter()
     t = generate("sandpile", trials=3400, test_count=0).trace

@@ -16,9 +16,11 @@ from mindsets import (
     LawReport,
     MimicryError,
     MimicryFunctor,
+    SCENARIO_NAMES,
     ScenarioConfig,
     StructureRelation,
     TimeMorphism,
+    Trace,
     build_trace,
     check_functor_laws,
     compose_functors,
@@ -44,6 +46,7 @@ from factories import (
     ev,
     out_and_back,
     random_trace,
+    snapshot_functor,
     steady_trace,
 )
 
@@ -528,6 +531,13 @@ def test_mimicry_rejection_messages_carry_counterexamples():
         mimicry_functor(source, target, (0, 1, 2), astray)
     assert exc.value.counterexample == (0, "input", ("b",), ("zzz",))
 
+    # the source's carriers are one object at every step, but the target's
+    # input carrier changes at step 1, where "p" is away
+    blink = functor_from_trace(out_and_back("p", "q"))
+    with pytest.raises(MimicryError, match="outside target input carrier") as exc:
+        mimicry_functor(source, blink, (0, 1, 2), good)
+    assert exc.value.counterexample == (1, "input", ("a",), ("p",))
+
 
 def test_mimicry_rejects_images_that_blink_out():
     # the target's partner for "a" is away exactly between the two mapped
@@ -718,12 +728,63 @@ def table_form(f):
     return type(f)(n=f.n, objects=f.objects, morphism_table=intersection_table(f.objects))
 
 
-def turnover_functors():
-    """Trace functors whose tuples leave scope and come back, n up to 60."""
+def turnover_traces():
+    """Traces whose tuples leave scope and come back, up to 60 steps."""
     rng = random.Random("turnover")
     traces = [out_and_back("a", "b", trips=30), out_and_back("a", "b", trips=3, extra_steps=2)]
     traces += [random_trace(rng, with_metadata=True, max_steps=60) for _ in range(6)]
-    return [functor_from_trace(t) for t in traces]
+    return traces
+
+
+def turnover_functors():
+    """Trace functors whose tuples leave scope and come back, n up to 60."""
+    return [functor_from_trace(t) for t in turnover_traces()]
+
+
+def with_a_ghost(t, moved_in_at=None):
+    """`t` built directly, each declaration holding one more tuple that names
+    "ghost", an element off the roster; with `moved_in_at`, an event of that
+    step also moves "ghost" into "core", as no checked trace could."""
+    ghostly = tuple(
+        replace(d, tuples=d.tuples | {(*sorted(t.initial.membership)[: d.arity - 1], "ghost")})
+        for d in t.declarations
+    )
+    events = list(t.events)
+    if moved_in_at is not None:
+        events[moved_in_at] += (ev(moved_in_at, EXTERNAL_IN, ("ghost",), "lab", "core"),)
+    return Trace(t.initial, tuple(events), t.phases, ghostly)
+
+
+def test_functors_from_the_events_equal_the_snapshot_build():
+    rng = random.Random("long turnover")
+    traces = turnover_traces()
+    traces += [
+        random_trace(rng, with_metadata=True, min_steps=1000, max_steps=1200) for _ in range(4)
+    ]
+    cfg = ScenarioConfig(seed=2, trials=14, test_count=6)
+    traces += [make_scenario(name, cfg, steps=40).trace for name in SCENARIO_NAMES]
+    blink = out_and_back("a", "b", trips=5, extra_steps=3)
+    # step 11 moves nothing else, so only the ghost's own index re-tests
+    # ("a", "ghost") there
+    traces += [blink, with_a_ghost(blink), with_a_ghost(blink, moved_in_at=11)]
+    turnover = 0
+    for t in traces:
+        f, oracle = functor_from_trace(t), snapshot_functor(t)
+        assert f == oracle and f.objects == oracle.objects and f.run_ends == oracle.run_ends
+        turnover += len({obj.carriers() for obj in f.objects}) > 1
+    assert turnover >= 10
+    # the ghost's tuples stay out of every carrier until the ghost is moved in
+    ghost_carriers = [functor_from_trace(t).objects[-1].carriers() for t in traces[-2:]]
+    assert [sum("ghost" in x for c in cs for x in c) for cs in ghost_carriers] == [0, 3]
+
+
+def test_steps_without_turnover_share_their_carriers_and_run_ends():
+    t = make_scenario("aplysia", ScenarioConfig(seed=1, trials=14, test_count=6)).trace
+    f = functor_from_trace(t)
+    assert f == snapshot_functor(t)
+    for r in range(len(categories.FUNCTOR_ROLES)):
+        assert len({id(obj.carriers()[r]) for obj in f.objects}) == 1
+        assert len({id(step[r]) for step in f.run_ends}) == 1
 
 
 def test_run_encoded_arrows_equal_the_intersection_build():
@@ -789,6 +850,56 @@ def test_run_end_check_equals_the_sweep_on_the_table_form():
                 report = check_functor_laws(bad)
                 assert not report.passed
                 assert report == sweep_functor_laws(bad)
+
+
+def test_a_stretched_end_among_shared_run_ends_is_refused():
+    # "p" is away at step 6 alone, so steps 0 to 5 share one run-end dict
+    # per role; an end stretched at step 3 is a new dict there, and the
+    # run-end pass refuses it at step 3 or at step 2, which still shares
+    f = functor_from_trace(away_once({"p": 6}, 9))
+    assert len({id(step[0]) for step in f.run_ends[:6]}) == 1
+    assert f.run_ends[3][0][("p",)] == 5
+    for role, x in ((0, ("p",)), (1, ("p", "p")), (2, ("p",))):
+        bad = with_run_end(f, 3, role, x, 6)
+        report = check_functor_laws(bad)
+        assert not report.passed
+        assert report == sweep_functor_laws(bad)
+    # an object whose carrier is not its shared dict's keys is refused too
+    objects = list(f.objects)
+    objects[3] = replace(objects[3], input_carrier=objects[3].input_carrier - {("p",)})
+    bad = replace(f, objects=tuple(objects))
+    report = check_functor_laws(bad)
+    assert not report.passed
+    assert report == sweep_functor_laws(bad)
+
+
+def test_the_cli_passes_over_run_ends_once_per_functor(tmp_path, monkeypatch):
+    # functor-check checks its functor's run ends once; mimic-check checks
+    # the source's and the pullback's once each, and the law check reads
+    # the pullback's answer from validation
+    checked = []
+    runs_hold = categories._runs_hold
+    monkeypatch.setattr(categories, "_runs_hold", lambda f: checked.append(f) or runs_hold(f))
+    traces = {"steady": steady_trace(("a", "b"), steps=12), "blink": out_and_back("p", "q", trips=12)}
+    paths = {name: tmp_path / f"{name}.trace" for name in traces}
+    for name, path in paths.items():
+        path.write_text(trace_to_text(traces[name]))
+        checked.clear()
+        assert main(["functor-check", "--trace", str(path)]) == 0
+        assert checked == [functor_from_trace(traces[name])]
+    components = component_maps([("a", "p"), ("b", "q")])
+    pairs = {role: [[x, y] for x, y in comp.items()] for role, comp in components.items()}
+    mapping = tmp_path / "mapping.json"
+    mapping.write_text(json.dumps({
+        "format": "mindsets-mimicry", "version": 1, "components": pairs,
+        "object_map": [[i, 0] for i in range(13)],
+    }))
+    checked.clear()
+    argv = ["--source", str(paths["steady"]), "--target", str(paths["blink"])]
+    assert main(["mimic-check", *argv, "--map", str(mapping)]) == 0
+    seen = list(checked)
+    source, target = (functor_from_trace(t) for t in traces.values())
+    assert seen == [source, mimicry_functor(source, target, (0,) * 13, components)._pullback]
 
 
 def composite_cases():

@@ -425,3 +425,31 @@ def test_console_entry_point_round_trips(tmp_path):
     )
     assert second.returncode == 1
     assert "verdict: false" in second.stdout
+
+
+def test_reading_and_checking_never_load_numpy(small_traces, tmp_path):
+    # only the hebbian, backprop and sandpile generators draw numbers; the
+    # child reads this process's traces and generates an aplysia one
+    package_root = str(Path(mindsets.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    mapping = tmp_path / "map.json"
+    mapping.write_text(json.dumps(default_mimicry_mapping()))
+    aplysia, hebbian = str(small_traces["aplysia"]), str(small_traces["hebbian"])
+    commands = [
+        ["classify", "--trace", hebbian],
+        ["functor-check", "--trace", hebbian],
+        ["mimic-check", "--source", aplysia, "--target", hebbian, "--map", str(mapping)],
+        ["run", "--scenario", "aplysia", "--out", str(tmp_path / "fresh.trace")],
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "from mindsets import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {commands!r}]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert (child.stdout, child.stderr) == ("[0, 0, 0, 0] False\n", "")
