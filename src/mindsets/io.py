@@ -2,18 +2,23 @@
 
 The trace file is line-oriented: one JSON header naming the roster, regions,
 declarations, and phases, then one JSON line per step carrying that step's
-events. Reading validates the events through the same construction path
-used everywhere else, `build_trace`, so a structurally broken file fails
-with the offending step named. The field checks say what is wrong, never
-where: `read_trace`'s one handler prefixes "line N:", `load_config` names
-its lines, and the mapping readers turn a failed check into their own
-message. All serialization sorts rosters, movers, and keys, which makes
-equal traces produce byte-identical files. A trace file holds finite
-numbers only, and a list that is read into a set lists each entry once.
+events. Reading decodes each step line once and checks its fields in one
+pass, in a fixed order, before it builds the line's events; the cyclic
+collector is paused while a file is read, since nothing decoded forms a
+cycle. The events then go through the same construction path used
+everywhere else, `build_trace`, so a structurally broken file fails with
+the offending step named. The field checks say what is wrong, never where:
+`read_trace`'s one handler prefixes "line N:", `load_config` names its
+lines, and the mapping readers turn a failed check into their own message.
+Writing encodes every line with one encoder, built once. All serialization
+sorts rosters, movers, and keys, which makes equal traces produce
+byte-identical files. A trace file holds finite numbers only, and a list
+that is read into a set lists each entry once.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import Counter
 from contextlib import contextmanager
@@ -63,9 +68,9 @@ class MappingFormatError(ConstructionError):
     """A mimicry mapping file cannot be understood."""
 
 
-def _dumps(obj) -> str:
-    """Compact sorted JSON; a number that is not finite raises ValueError."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+# compact sorted JSON, in which a number that is not finite raises ValueError;
+# built once, as json.dumps with these keyword arguments builds one per call
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 
 
 def _declaration_to_dict(d: StructureRelation) -> dict:
@@ -178,11 +183,14 @@ def _object(value, what: str) -> dict:
     return value
 
 
-def _state(value, what: str) -> dict:
-    """An element state: an object whose values are scalars, as `State` holds."""
-    for key, v in _object(value, what).items():
+def _state(value, label: str, eid: str) -> dict:
+    """An element state: an object whose values are scalars, as `State` holds.
+    A failure names it "`label` `eid`", a name built only then."""
+    if not isinstance(value, dict):
+        raise _FieldError(f"{label} {eid!r}", "an object")
+    for key, v in value.items():
         if not isinstance(v, (int, float, str)):
-            raise _FieldError(f"{what} value {key!r}", "a scalar")
+            raise _FieldError(f"{label} {eid!r} value {key!r}", "a scalar")
     return value
 
 
@@ -223,17 +231,11 @@ def _loads(text: str, error: type[ConstructionError], decoder=_DECODER):
         raise error("invalid JSON (nested too deeply)") from None
 
 
-def _json(line: str, decoder=_DECODER) -> dict:
-    """The JSON object one line of a trace file holds."""
-    obj = _loads(line, TraceFormatError, decoder)
-    if not isinstance(obj, dict):
-        raise TraceFormatError("expected an object")
-    return obj
-
-
 def _header(line: str) -> tuple[Snapshot, list[StructureRelation], list[Phase]]:
     """The initial snapshot, declarations and phases that the header describes."""
-    header = _json(line, _UNIQUE_KEY_DECODER)
+    header = _loads(line, TraceFormatError, _UNIQUE_KEY_DECODER)
+    if not isinstance(header, dict):
+        raise TraceFormatError("expected an object")
     if header.get("format") != FORMAT_NAME:
         raise TraceFormatError("not a trace file")
     version = header.get("version")
@@ -241,10 +243,15 @@ def _header(line: str) -> tuple[Snapshot, list[StructureRelation], list[Phase]]:
         raise TraceFormatError(f"unsupported format version {version!r}")
     elements, membership, region_side = [], {}, {}
     for entry in _list(header["elements"], "elements"):
-        eid, region, state = _list(entry, "element entry", 3)
-        eid = _text(eid, "element id")
-        elements.append((eid, _state(state, f"state of {eid!r}")))
-        membership[eid] = _text(region, f"region of {eid!r}")
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise _FieldError("element entry", "a list of 3")
+        eid, region, state = entry
+        if not isinstance(eid, str):
+            raise _FieldError("element id", "a string")
+        elements.append((eid, _state(state, "state of", eid)))
+        if not isinstance(region, str):
+            raise _FieldError(f"region of {eid!r}", "a string")
+        membership[eid] = region
     for entry in _list(header["regions"], "regions"):
         region, side = _list(entry, "region entry", 2)
         region = _text(region, "region id")
@@ -277,25 +284,54 @@ def _header(line: str) -> tuple[Snapshot, list[StructureRelation], list[Phase]]:
     return make_snapshot(elements, membership, region_side), declarations, phases
 
 
-def _event(e, step: int) -> TransferEvent:
-    e = _object(e, "event")
-    kind = _text(e["kind"], "kind")
-    moved = _set(_texts(e["moved"], "moved"), "moved")
-    from_region = _text(e["from"], "from")
-    to_region = _text(e["to"], "to")
-    via = None if e["via"] is None else _text(e["via"], "via")
-    updates = _object(e["updates"], "updates")
-    for eid, attrs in updates.items():
-        _state(attrs, f"update of {eid!r}")
-    return TransferEvent.make(step, kind, moved, from_region, to_region, via, updates)
-
-
 def _step(line: str, step: int) -> list[TransferEvent]:
-    """The events of the line that must hold step `step`."""
-    obj = _json(line)
+    """The events of the line that must hold step `step`, checked field by
+    field in a fixed order, so the first wrong field is the one named."""
+    try:
+        obj, end = _DECODER.raw_decode(line)
+    except (ValueError, RecursionError):
+        end = -1
+    if end != len(line):  # whitespace around the value, or not JSON: read as the header is
+        obj = _loads(line, TraceFormatError)
+    if not isinstance(obj, dict):
+        raise TraceFormatError("expected an object")
     if _integer(obj.get("step"), "step") != step:
         raise TraceFormatError(f"expected step {step}")
-    return [_event(e, step) for e in _list(obj.get("events"), "events")]
+    events = []
+    for e in _list(obj.get("events"), "events"):
+        if not isinstance(e, dict):
+            raise _FieldError("event", "an object")
+        kind = e["kind"]
+        if not isinstance(kind, str):
+            raise _FieldError("kind", "a string")
+        moved = e["moved"]
+        if not isinstance(moved, list):
+            raise _FieldError("moved", "a list")
+        for eid in moved:  # before the set is built, which hashes them
+            if not isinstance(eid, str):
+                raise _FieldError("moved entry", "a string")
+        moved = _set(moved, "moved")
+        from_region = e["from"]
+        if not isinstance(from_region, str):
+            raise _FieldError("from", "a string")
+        to_region = e["to"]
+        if not isinstance(to_region, str):
+            raise _FieldError("to", "a string")
+        via = e["via"]
+        if via is not None and not isinstance(via, str):
+            raise _FieldError("via", "a string")
+        updates = e["updates"]
+        if not isinstance(updates, dict):
+            raise _FieldError("updates", "an object")
+        for eid, attrs in updates.items():
+            _state(attrs, "update of", eid)
+        packed = ()
+        if updates:
+            packed = tuple(
+                (eid, tuple(sorted(attrs.items()))) for eid, attrs in sorted(updates.items())
+            )
+        events.append(TransferEvent(step, kind, moved, from_region, to_region, via, packed))
+    return events
 
 
 def read_trace(source: str | Path) -> Trace:
@@ -304,6 +340,10 @@ def read_trace(source: str | Path) -> Trace:
     if not lines:
         raise TraceFormatError("empty trace file")
     line_no = 1
+    # the cyclic collector would pass over every event read so far, again and
+    # again as they pile up; nothing read here forms a cycle
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         initial, declarations, phases = _header(lines[0])
         schedule: list[list[TransferEvent]] = []
@@ -319,6 +359,9 @@ def read_trace(source: str | Path) -> Trace:
         raise TraceFormatError(f"line {line_no}: malformed {part} (missing {exc})") from None
     except ConstructionError as exc:
         raise TraceFormatError(f"line {line_no}: {exc}") from None
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def parse_window(text: str) -> tuple[int, int]:
@@ -413,6 +456,11 @@ def mapping_object_map(data: dict, source_len: int) -> tuple[int, ...]:
             raise MappingFormatError(f"object_map lists source object {src} twice")
         pairs[src] = dst
     missing = [i for i in range(source_len) if i not in pairs]
+    if len(missing) > 5:  # a long source can miss thousands: the first few and the count
+        listed = ", ".join(map(str, missing[:5]))
+        raise MappingFormatError(
+            f"object_map misses source objects [{listed}, ...] ({len(missing)} of {source_len})"
+        )
     if missing:
         raise MappingFormatError(f"object_map misses source objects {missing}")
     return tuple(pairs[i] for i in range(source_len))

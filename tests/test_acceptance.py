@@ -415,6 +415,20 @@ def test_long_trace_round_trips(stamp, tmp_path):
           f"sandpile {t.n_steps} steps read back equal and rewritten byte-identical")
 
 
+def test_round_trip_at_the_largest_scale(stamp, tmp_path):
+    # each step line is decoded and checked in one pass, and the collector
+    # is paused while the events pile up; generation is left out of the timing
+    t = generate("sandpile", trials=20000, test_count=0).trace
+    first, second = tmp_path / "first.trace", tmp_path / "second.trace"
+    started = time.perf_counter()
+    write_trace(t, first)
+    back = read_trace(first)
+    write_trace(back, second)
+    ok = t.n_steps >= 60_000 and back == t and first.read_bytes() == second.read_bytes()
+    stamp("round-trip-at-largest-scale", ok, time.perf_counter() - started, 5,
+          f"sandpile {t.n_steps} steps read back equal and rewritten byte-identical")
+
+
 def test_window_queries_on_a_loaded_trace(stamp, tmp_path):
     # each step's facts are computed once per trace, so thousands of short
     # window queries on one freshly read trace cost little more than one

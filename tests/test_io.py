@@ -1,5 +1,6 @@
 """Trace files, config and mapping files, and markdown reports."""
 
+import gc
 import json
 import random
 import re
@@ -211,6 +212,9 @@ def test_read_trace_error_catalog(tmp_path):
         ('"to":"io_port"', '"to":["io_port"]', "line 2: to is not a string"),
         ('"moved":["dust_0"]', '"moved":"dust_0"', "line 2: moved is not a list"),
         ('"moved":["dust_0"]', '"moved":[["dust_0"]]', "line 2: moved entry is not a string"),
+        # named before the set of movers is built, which could not hash a list
+        ('"moved":["dust_0"]', '"moved":["dust_0",["dust_0"]]', "line 2: moved entry is not a"),
+        ('"moved":["dust_0"]', '"moved":[{},{}]', "line 2: moved entry is not a string$"),
         ('"moved":["dust_0"]', '"moved":["dust_1","dust_0","dust_1","dust_0"]',
          "line 2: moved lists 'dust_0' twice$"),
         ('"updates":{}', '"updates":{"dust_0":{"v":Infinity}}',
@@ -220,7 +224,30 @@ def test_read_trace_error_catalog(tmp_path):
         ('"step":0', '"step":' + "1" * 5000, r"line 2: invalid JSON \(Exceeds the limit"),
     ):
         cases.append(([good[0], arrival.replace(field, broken)], message))
-    assert read_trace(write_lines(tmp_path / "ok.trace", [good[0], arrival, good[2]])).n_steps == 2
+    # of two broken fields of an event, the first in the order kind, moved,
+    # from, to, via, updates is named
+    no_moved = arrival.replace('"moved":["dust_0"],', "")
+    for broken, message in (
+        (no_moved.replace('"kind":"external_in"', '"kind":5'), "line 2: kind is not a string$"),
+        (no_moved.replace('"to":"io_port"', '"to":5'),
+         r"line 2: malformed event \(missing 'moved'\)$"),
+        (arrival.replace('"from":"mains"', '"from":5').replace('"via":null', '"via":5'),
+         "line 2: from is not a string$"),
+        (arrival.replace('"via":null', '"via":5').replace('"updates":{}', '"updates":[]'),
+         "line 2: via is not a string$"),
+        # a line padded with whitespace is checked as any other
+        ("  " + arrival.replace('"to":"io_port"', '"to":["io_port"]'),
+         "line 2: to is not a string$"),
+        # a byte order mark is not whitespace
+        ("\ufeff" + arrival,
+         r"line 2: invalid JSON \(Unexpected UTF-8 BOM \(decode using utf-8-sig\)\)$"),
+    ):
+        cases.append(([good[0], broken], message))
+    ok = read_trace(write_lines(tmp_path / "ok.trace", [good[0], arrival, good[2]]))
+    assert ok.n_steps == 2
+    # step lines padded with spaces or tabs read as the unpadded lines
+    padded = [good[0], " \t" + arrival + "  ", "\t" + good[2] + "\t"]
+    assert read_trace(write_lines(tmp_path / "padded.trace", padded)) == ok
     for lines, message in cases:
         path = write_lines(tmp_path / "bad.trace", lines)
         with pytest.raises(TraceFormatError, match=message) as exc:
@@ -241,6 +268,27 @@ def test_read_trace_error_catalog(tmp_path):
         read_trace(tmp_path / "void.trace")
     with pytest.raises(OSError):
         read_trace(tmp_path / "does-not-exist.trace")
+
+
+def test_read_trace_leaves_the_collector_as_it_found_it(tmp_path):
+    # the collector is paused while a file is read, and restored on error too
+    good = trace_to_text(make_scenario("off", SMALL, steps=2).trace).splitlines()
+    files = [
+        write_lines(tmp_path / "good.trace", good),
+        write_lines(tmp_path / "bad.trace", good[:2] + ["{not json"]),
+        write_lines(tmp_path / "skip.trace", good[:2] + [good[2].replace('"step":1', '"step":7')]),
+    ]
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            assert read_trace(files[0]).n_steps == 2
+            for path in files[1:]:
+                with pytest.raises(TraceFormatError):
+                    read_trace(path)
+            assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def test_read_trace_replays_through_validation(tmp_path):
@@ -345,8 +393,14 @@ def test_mapping_file_validation(tmp_path):
 def test_explicit_object_maps():
     data = {**default_mimicry_mapping(), "object_map": [[0, 0], [1, 2], [2, 4]]}
     assert mapping_object_map(data, 3) == (0, 2, 4)
-    with pytest.raises(MappingFormatError, match="misses source objects"):
+    with pytest.raises(MappingFormatError, match=r"misses source objects \[3\]$"):
         mapping_object_map(data, 4)
+    # a long source mapped by one pair: the first few missing objects and their count
+    with pytest.raises(MappingFormatError) as exc:
+        mapping_object_map({**data, "object_map": [[0, 0]]}, 12001)
+    assert str(exc.value) == (
+        "object_map misses source objects [1, 2, 3, 4, 5, ...] (12000 of 12001)"
+    )
     for pairs in (
         [["a", "b"]],
         [[0, 0], [1, 0.9], [2, True]],
