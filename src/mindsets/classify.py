@@ -18,16 +18,17 @@ first time its step is asked for, and kept in a table the trace holds
 rederives movement from membership diffs, takes count changes from literal
 region counts, and decides each condition by exhaustive enumeration of
 region subsets; it never reads the table. The two paths share only the
-sorting of moves by the sides they connect, the canonical witness list and
-the reading of one step's role. Attribution (the declared-role sequence
-used for cycle tables) is deliberately independent of witnessing: it reads
-``via_structure`` tags and nothing else.
+canonical witness list and the reading of one step's role: the event path
+sorts whole events by the sides they connect in one pass over a step, the
+oracle sorts its diffed moves one element at a time. Attribution (the
+declared-role sequence used for cycle tables) is deliberately independent
+of witnessing: it reads ``via_structure`` tags and nothing else.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 from .evolution import EXTERNAL_IN, EXTERNAL_OUT, Trace
@@ -64,7 +65,7 @@ def check_window(t: Trace, window: tuple[int, int]) -> tuple[int, int]:
     return start, stop
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=True, slots=True)
 class Witness:
     """Evidence that one condition held across a single step.
 
@@ -141,7 +142,9 @@ def _movement(
     """Sort one step's (element, from, to) moves by the sides they connect.
 
     Returns arrivals from the environment, departures to it, internal
-    arrivals and internal departures, each as region -> movers.
+    arrivals and internal departures, each as region -> movers. Used by the
+    oracle on its membership diffs; the event path sorts whole events in
+    `_step_witnesses` instead.
     """
     movement = tuple(defaultdict(set) for _ in range(4))
     arrivals_in, departures_out, arrivals_internal, departures_internal = movement
@@ -157,61 +160,59 @@ def _movement(
     return movement
 
 
+_new = object.__new__
+# the slot descriptors' setters, which a frozen class's own __setattr__ refuses
+_SET_CONDITION, _SET_STEP, _SET_GROWN, _SET_SHRUNK, _SET_MOVERS = (
+    Witness.__dict__[f.name].__set__ for f in fields(Witness)
+)
+
+
+def _witness(condition, step, grown_region, shrunk_region, movers) -> Witness:
+    """``Witness(...)``, one slot store per field instead of the generated
+    ``__init__``'s ``object.__setattr__`` calls."""
+    w = _new(Witness)
+    _SET_CONDITION(w, condition)
+    _SET_STEP(w, step)
+    _SET_GROWN(w, grown_region)
+    _SET_SHRUNK(w, shrunk_region)
+    _SET_MOVERS(w, movers)
+    return w
+
+
 def _witnesses(
     step: int, system: list[RegionId], delta: dict[RegionId, int], movement
 ) -> list[Witness]:
     """Build the canonical region-level witness list for one step.
 
     Shared between the event reader and the oracle; each feeds it the count
-    changes and the `_movement` it gathered its own way. Order: inputs by
-    grown region, processings by (grown, shrunk), outputs by shrunk region.
+    changes and the four movement maps (region -> movers, as `_movement`
+    returns them) that it gathered its own way. A region missing from
+    ``delta`` did not change. Order: inputs by grown region, processings by
+    (grown, shrunk), outputs by shrunk region.
     """
     arrivals_in, departures_out, arrivals_internal, departures_internal = movement
     witnesses: list[Witness] = []
-
+    outputs: list[Witness] = []
+    # the grown and the shrunk regions that no boundary movement touched
+    grown_clean: list[RegionId] = []
+    shrunk_clean: list[RegionId] = []
     for r in system:
-        if delta[r] > 0 and arrivals_in.get(r):
-            witnesses.append(
-                Witness(
-                    condition="input",
-                    step=step,
-                    grown_region=r,
-                    shrunk_region=None,
-                    movers=frozenset(arrivals_in[r]),
-                )
-            )
-
-    def clean(r: RegionId) -> bool:
-        return not arrivals_in.get(r) and not departures_out.get(r)
-
-    for r in system:
-        if delta[r] <= 0 or not clean(r):
-            continue
-        for s in system:
-            if s == r or delta[s] >= 0 or not clean(s):
-                continue
-            movers = arrivals_internal.get(r, set()) | departures_internal.get(s, set())
-            witnesses.append(
-                Witness(
-                    condition="processing",
-                    step=step,
-                    grown_region=r,
-                    shrunk_region=s,
-                    movers=frozenset(movers),
-                )
-            )
-
-    for s in system:
-        if delta[s] < 0 and departures_out.get(s):
-            witnesses.append(
-                Witness(
-                    condition="output",
-                    step=step,
-                    grown_region=None,
-                    shrunk_region=s,
-                    movers=frozenset(departures_out[s]),
-                )
-            )
+        d = delta.get(r, 0)
+        if d > 0:
+            if arrivals_in.get(r):
+                witnesses.append(_witness("input", step, r, None, frozenset(arrivals_in[r])))
+            elif not departures_out.get(r):
+                grown_clean.append(r)
+        elif d < 0:
+            if departures_out.get(r):
+                outputs.append(_witness("output", step, None, r, frozenset(departures_out[r])))
+            elif not arrivals_in.get(r):
+                shrunk_clean.append(r)
+    for r in grown_clean:
+        for s in shrunk_clean:
+            movers = arrivals_internal.get(r, frozenset()) | departures_internal.get(s, frozenset())
+            witnesses.append(_witness("processing", step, r, s, frozenset(movers)))
+    witnesses += outputs
     return witnesses
 
 
@@ -219,15 +220,38 @@ def _system(first: Snapshot) -> list[RegionId]:
     return sorted(first.system_regions())
 
 
+def _join(movers: dict, region: RegionId, moved: frozenset[ElementId]) -> None:
+    """Add an event's movers to a region's; its first event's set is kept as is."""
+    known = movers.get(region)
+    movers[region] = moved if known is None else known | moved
+
+
 def _step_witnesses(
     step: int, events, system: list[RegionId], region_side: dict[RegionId, str]
 ) -> list[Witness]:
-    """One step's witnesses from its events alone: each region's count
-    change is its arrivals minus its departures."""
-    moves = [(eid, ev.from_region, ev.to_region) for ev in events for eid in ev.moved]
-    delta = Counter(dst for _, _, dst in moves)
-    delta.subtract(src for _, src, _ in moves)
-    return _witnesses(step, system, delta, _movement(region_side, moves))
+    """One step's witnesses from its events alone, in one pass over them:
+    each region's count change is its arrivals minus its departures, and
+    each event's movers join the movement map its two sides select."""
+    delta: dict[RegionId, int] = {}
+    arrivals_in: dict[RegionId, frozenset[ElementId]] = {}
+    departures_out: dict[RegionId, frozenset[ElementId]] = {}
+    arrivals_internal: dict[RegionId, frozenset[ElementId]] = {}
+    departures_internal: dict[RegionId, frozenset[ElementId]] = {}
+    for ev in events:
+        src, dst, moved = ev.from_region, ev.to_region, ev.moved
+        n = len(moved)
+        delta[dst] = delta.get(dst, 0) + n
+        delta[src] = delta.get(src, 0) - n
+        sides = (region_side[src], region_side[dst])
+        if sides == (SYSTEM, SYSTEM):
+            _join(arrivals_internal, dst, moved)
+            _join(departures_internal, src, moved)
+        elif sides == (ENVIRONMENT, SYSTEM):
+            _join(arrivals_in, dst, moved)
+        elif sides == (SYSTEM, ENVIRONMENT):
+            _join(departures_out, src, moved)
+    movement = (arrivals_in, departures_out, arrivals_internal, departures_internal)
+    return _witnesses(step, system, delta, movement)
 
 
 def _filled(known: list, start: int, stop: int, fact) -> list:

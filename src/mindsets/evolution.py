@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from operator import itemgetter
 
@@ -66,7 +66,7 @@ class StepError(ConstructionError):
         self.step = step
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=True, slots=True)
 class TransferEvent:
     """Movement of one or more elements between two regions in one step.
 
@@ -74,7 +74,7 @@ class TransferEvent:
     ``external_out`` the reverse, ``internal`` stays within the system side.
     ``state_updates`` may adjust the state of any elements (moved or not) as
     part of the same step. ``via_structure`` optionally attributes the event
-    to a declared structure.
+    to a declared structure. Slotted, so an event holds no instance dict.
     """
 
     step: int
@@ -102,18 +102,35 @@ class TransferEvent:
                 (eid, tuple(sorted(attrs.items())))
                 for eid, attrs in sorted(state_updates.items())
             )
-        return TransferEvent(
-            step=step,
-            kind=kind,
-            moved=frozenset(moved),
-            from_region=from_region,
-            to_region=to_region,
-            via_structure=via_structure,
-            state_updates=packed,
+        return _event(
+            step, kind, frozenset(moved), from_region, to_region, via_structure, packed
         )
 
     def updates(self) -> dict[ElementId, State]:
         return {eid: dict(attrs) for eid, attrs in self.state_updates}
+
+
+_new = object.__new__
+# the slot descriptors' setters, which a frozen class's own __setattr__ refuses
+_SET_STEP, _SET_KIND, _SET_MOVED, _SET_FROM, _SET_TO, _SET_VIA, _SET_UPDATES = (
+    TransferEvent.__dict__[f.name].__set__ for f in fields(TransferEvent)
+)
+
+
+def _event(step, kind, moved, from_region, to_region, via_structure, state_updates):
+    """``TransferEvent(...)`` for fields already in their stored form: one
+    slot store per field, about half the cost of the generated ``__init__``,
+    which calls ``object.__setattr__`` once per field. Every event read or
+    generated is built here."""
+    ev = _new(TransferEvent)
+    _SET_STEP(ev, step)
+    _SET_KIND(ev, kind)
+    _SET_MOVED(ev, moved)
+    _SET_FROM(ev, from_region)
+    _SET_TO(ev, to_region)
+    _SET_VIA(ev, via_structure)
+    _SET_UPDATES(ev, state_updates)
+    return ev
 
 
 @dataclass(frozen=True, eq=True)
@@ -199,12 +216,28 @@ def _check_step(
     An element may be moved by at most one event per step, which rules out in
     particular any element crossing the system boundary in both directions
     within the same interval. State updates must not conflict either. Costs
-    O(moved elements + updates).
+    O(moved elements + updates). Each event and each mover is tested by one
+    guard that holds exactly when `_check_event` or `_check_movers` would
+    raise; those run only to name the failure.
     """
     moved_by: dict[ElementId, TransferEvent] = {}
     updated: set[ElementId] = set()
     for ev in events:
-        _check_event(step, membership, region_side, ev)
+        try:
+            sides = _SIDES.get(ev.kind)
+        except TypeError:  # an unhashable kind is unknown too
+            sides = None
+        if (
+            ev.step != step
+            or sides is None
+            or not ev.moved
+            or ev.from_region == ev.to_region
+            or (region_side.get(ev.from_region), region_side.get(ev.to_region)) != sides
+        ):
+            _check_event(step, membership, region_side, ev)
+        for eid, attrs in ev.state_updates:
+            if eid not in membership or not _finite(attrs):
+                _check_event(step, membership, region_side, ev)
         for eid in ev.moved:
             if eid in moved_by:
                 raise _double_move(step, events)
@@ -216,7 +249,10 @@ def _check_step(
     # double-naming is reported before membership so that an in-and-out pair
     # for one element reads as the boundary conflict it is
     for ev in events:
-        _check_movers(step, membership, ev)
+        source = ev.from_region
+        for eid in ev.moved:
+            if membership.get(eid) != source:
+                _check_movers(step, membership, ev)
 
 
 def _advance(

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .classify import ActivityScore, IntelligenceReport, attribution
 from .categories import FUNCTOR_ROLES, LawReport
-from .evolution import Phase, StepError, Trace, TransferEvent, build_trace
+from .evolution import Phase, StepError, Trace, TransferEvent, _event, build_trace
 from .scenarios import ScenarioBundle, ScenarioConfig
 from .universe import ConstructionError, Snapshot, StructureRelation, make_snapshot
 
@@ -330,7 +330,7 @@ def _step(line: str, step: int) -> list[TransferEvent]:
             packed = tuple(
                 (eid, tuple(sorted(attrs.items()))) for eid, attrs in sorted(updates.items())
             )
-        events.append(TransferEvent(step, kind, moved, from_region, to_region, via, packed))
+        events.append(_event(step, kind, moved, from_region, to_region, via, packed))
     return events
 
 

@@ -5,6 +5,7 @@ Run as `pytest tests/test_acceptance.py` (the stamps print through capture)
 or with -v for the per-test verdicts as well.
 """
 
+import importlib
 import json
 import random
 import time
@@ -52,6 +53,9 @@ from factories import (
 )
 
 SCENARIOS = ("hebbian", "backprop", "aplysia", "sandpile", "off")
+
+# the package root rebinds the name `classify` to the function
+classify_module = importlib.import_module("mindsets.classify")
 
 # per-scenario configs sized so every trace has at least 200 steps
 LONG = {
@@ -206,6 +210,45 @@ def test_fast_path_matches_the_oracle(stamp):
             disagreements += 1
     stamp("oracle-equivalence", disagreements == 0, time.perf_counter() - started, 60,
           f"1000 random traces, {disagreements} disagreements")
+
+
+def snapshot_witnesses(t):
+    """Every step's canonical witnesses from the snapshots alone, as the
+    oracle builds them: moves from membership diffs, count changes from
+    region counts; no event and no step-facts table is read."""
+    system = sorted(t.initial.system_regions())
+    witnesses = []
+    snapshots = iter(t.snapshots)
+    before = next(snapshots)
+    for step, after in enumerate(snapshots):
+        moves = [
+            (eid, src, after.membership[eid])
+            for eid, src in before.membership.items()
+            if after.membership[eid] != src
+        ]
+        witnesses += classify_module._witnesses(
+            step,
+            system,
+            classify_module._region_deltas(before, after),
+            classify_module._movement(before.region_side, moves),
+        )
+        before = after
+    return witnesses
+
+
+def test_witnesses_match_the_snapshot_diffs_at_scale(stamp):
+    # the oracle's region-level half, which its size guard keeps off every
+    # scenario trace: each step's witnesses from its events equal those
+    # rederived from membership diffs and literal region counts
+    started = time.perf_counter()
+    traces = [generate(name).trace for name in SCENARIOS]
+    traces.append(generate("sandpile", trials=3400, test_count=0).trace)
+    wrong = sum(
+        list(classify(t, (0, t.n_steps)).witnesses) != snapshot_witnesses(t) for t in traces
+    )
+    stamp("witnesses-at-scale", traces[-1].n_steps >= 10_000 and wrong == 0,
+          time.perf_counter() - started, 1.5,
+          f"{len(traces)} traces of up to {traces[-1].n_steps} steps, {wrong} with other witnesses")
 
 
 def test_functor_laws_on_scenario_traces(stamp):
@@ -427,6 +470,23 @@ def test_round_trip_at_the_largest_scale(stamp, tmp_path):
     ok = t.n_steps >= 60_000 and back == t and first.read_bytes() == second.read_bytes()
     stamp("round-trip-at-largest-scale", ok, time.perf_counter() - started, 5,
           f"sandpile {t.n_steps} steps read back equal and rewritten byte-identical")
+
+
+def test_classify_at_the_largest_scale(stamp):
+    # one pass over each step's events builds its witnesses, from slotted
+    # records; generation is left out of the timing
+    t = generate("sandpile", trials=20000, test_count=0).trace
+    started = time.perf_counter()
+    report = classify(t, (0, t.n_steps))
+    elapsed = time.perf_counter() - started
+    ok = (
+        t.n_steps >= 60_000
+        and report.verdict
+        and report.window == (0, t.n_steps)
+        and len(report.witnesses) == 69829
+    )
+    stamp("classify-at-largest-scale", ok, elapsed, 1,
+          f"sandpile {t.n_steps} steps, {len(report.witnesses)} witnesses, full window")
 
 
 def test_window_queries_on_a_loaded_trace(stamp, tmp_path):

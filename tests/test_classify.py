@@ -18,6 +18,7 @@ from mindsets import (
     StructureRelation,
     Trace,
     TransferEvent,
+    Witness,
     WindowError,
     activity,
     attribution,
@@ -140,6 +141,26 @@ def test_boundary_contact_disqualifies_a_processing_region():
     assert not r.has_processing
 
 
+@pytest.mark.parametrize(
+    "members, boundary, expected",
+    [
+        # an arrival into the shrinking region: it shrank, so no input either
+        (dict(y="core", z="core", x="lab"), ev(0, EXTERNAL_IN, ("x",), "lab", "core"), []),
+        # a departure from the growing region: it grew, so no output either
+        (dict(y="core", z="core", w="sink"), ev(0, EXTERNAL_OUT, ("w",), "sink", "street"), []),
+        # a departure from the shrinking region: output alone
+        (dict(y="core", z="core", w="core"), ev(0, EXTERNAL_OUT, ("w",), "core", "street"),
+         [Witness("output", 0, None, "core", frozenset({"w"}))]),
+    ],
+)
+def test_boundary_contact_disqualifies_either_processing_region(members, boundary, expected):
+    # y and z move core -> sink beside one boundary crossing that touches a
+    # region of the pair, so no processing witness stands
+    internal = ev(0, INTERNAL, ("y", "z"), "core", "sink")
+    t = build_trace(settlement(**members), [[internal, boundary]])
+    assert list(classify(t, (0, 1)).witnesses) == expected
+
+
 def test_growth_without_arrival_is_not_input():
     s0 = settlement(x="core")
     t = build_trace(s0, [[ev(0, INTERNAL, ("x",), "core", "sink")]])
@@ -164,6 +185,29 @@ def test_relayed_flow_nets_out_at_the_middle_region():
     (w,) = r.witnesses_for("processing")
     assert (w.grown_region, w.shrunk_region) == ("sink", "intake")
     assert w.movers == {"x", "y"}
+
+
+def test_the_private_constructor_gives_the_public_witness():
+    args = ("processing", 7, "sink", "intake", frozenset({"x", "y"}))
+    fast, public = classify_module._witness(*args), Witness(*args)
+    assert type(fast) is Witness
+    assert fast == public and hash(fast) == hash(public) and repr(fast) == repr(public)
+    for record in (fast, public):
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and hash(copy) == hash(record) and repr(copy) == repr(record)
+    assert [f.name for f in dataclasses.fields(fast)] == [
+        "condition", "step", "grown_region", "shrunk_region", "movers",
+    ]
+    assert dataclasses.replace(fast, step=8) == Witness("processing", 8, *args[2:])
+    for record in (fast, public):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.movers = frozenset()
+    assert fast.step == 7 and not hasattr(fast, "__dict__")
+    # the witnesses classify returns are the public records
+    t = build_trace(settlement(x="lab"), [[ev(0, EXTERNAL_IN, ("x",), "lab", "core")]])
+    (w,) = classify(t, (0, 1)).witnesses
+    assert w == Witness("input", 0, "core", None, frozenset({"x"}))
+    assert hash(w) == hash(Witness("input", 0, "core", None, frozenset({"x"})))
 
 
 def test_witness_helpers_validate_the_step():

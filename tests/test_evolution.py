@@ -1,10 +1,12 @@
 """Transfer events, step application, trace construction, conservation."""
 
+import math
 import os
+import pickle
 import random
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,7 @@ from mindsets import (
     apply_step,
     build_trace,
     make_scenario,
+    make_snapshot,
     verify_conservation,
 )
 
@@ -52,6 +55,31 @@ def test_make_packs_state_updates_deterministically():
 
 def test_events_are_hashable():
     assert len({event(), event()}) == 1
+
+
+def test_the_private_constructor_gives_the_public_record():
+    from mindsets.evolution import _event
+
+    args = (3, EXTERNAL_IN, frozenset({"b", "c"}), "out", "in", "input_structure",
+            (("a", (("v", 1.5),)),))
+    fast, public = _event(*args), TransferEvent(*args)
+    assert type(fast) is TransferEvent
+    assert fast == public and hash(fast) == hash(public) and repr(fast) == repr(public)
+    assert TransferEvent.make(3, EXTERNAL_IN, {"c", "b"}, "out", "in", "input_structure",
+                              {"a": {"v": 1.5}}) == fast
+    for record in (fast, public):
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and hash(copy) == hash(record) and repr(copy) == repr(record)
+    assert [f.name for f in fields(fast)] == [
+        "step", "kind", "moved", "from_region", "to_region", "via_structure", "state_updates",
+    ]
+    assert replace(fast, step=4) == TransferEvent(4, *args[1:])
+    assert replace(fast, via_structure=None).via_structure is None
+    with pytest.raises(FrozenInstanceError):
+        fast.step = 4
+    with pytest.raises(FrozenInstanceError):
+        public.moved = frozenset()
+    assert fast.step == 3 and not hasattr(fast, "__dict__")
 
 
 def test_apply_step_moves_and_advances():
@@ -136,6 +164,108 @@ def test_conflicting_state_updates_rejected():
     ]
     with pytest.raises(StepError, match="conflicting state updates"):
         apply_step(s0, pair)
+
+
+# steps with two faults each, and the message the first of them earns: the
+# event's own fields in order (step, kind, moved, regions, sides, updates),
+# then its double moves and update conflicts, event by event; the movers'
+# membership only once every event passed
+THREE_REGIONS = make_snapshot(
+    [(e, None) for e in ("a", "x", "k", "b", "c")],
+    {"a": "in", "x": "in", "k": "core", "b": "out", "c": "out"},
+    {"in": "system", "core": "system", "out": "environment"},
+)
+INF = {"v": math.inf}
+TWO_FAULT_STEPS = [
+    ("unknown kind, unknown region",
+     [event(kind="teleport", src="nowhere")],
+     "unknown event kind 'teleport'"),
+    ("empty moved, one region on both sides",
+     [event(moved=(), src="in", dst="in")],
+     "event moves no elements"),
+    ("wrong-side mover in event 1, double move in event 2",
+     [event(moved=("a", "b")), event(moved=("b",))],
+     "element 'b' moved by two events"),
+    ("non-finite update, conflicting update",
+     [event(moved=("b",), state_updates={"a": {"v": 1}}),
+      event(moved=("c",), state_updates={"a": INF})],
+     "a state update holds a number that is not finite"),
+    ("wrong step, unknown kind",
+     [event(step=2, kind="teleport")],
+     "event carries step 2"),
+    ("wrong step, wrong-side mover",
+     [event(step=2, moved=("a",))],
+     "event carries step 2"),
+    ("empty moved, conflicting update",
+     [event(state_updates={"a": {"v": 1}}), event(moved=(), state_updates={"a": {"v": 2}})],
+     "event moves no elements"),
+    ("unknown from, unknown to",
+     [event(src="nowhere", dst="void")],
+     "unknown region 'nowhere'"),
+    ("one region on both sides, wrong sides for the kind",
+     [event(moved=("a",), src="in", dst="in")],
+     "event moves nothing across regions"),
+    ("internal event within one region, wrong-side mover",
+     [event(kind=INTERNAL, src="in", dst="in")],
+     "event moves nothing across regions"),
+    ("wrong sides for the kind, wrong-side mover",
+     [event(kind=INTERNAL, moved=("a",))],
+     "internal event connects environment to system ('out' to 'in')"),
+    ("update of an unknown element, wrong-side mover",
+     [event(moved=("a",), state_updates={"ghost": {"v": 1}})],
+     "state update names unknown element 'ghost'"),
+    ("update of an unknown element sorted before a non-finite one",
+     [event(state_updates={"ghost": {"v": 1}, "x": {"v": math.nan}})],
+     "state update names unknown element 'ghost'"),
+    ("non-finite update sorted before an update of an unknown element",
+     [event(state_updates={"a": INF, "ghost": {"v": 1}})],
+     "a state update holds a number that is not finite"),
+    ("double move, unknown kind in a later event",
+     [event(), event(), event(kind="teleport")],
+     "element 'b' moved by two events"),
+    ("double move onto an event with wrong sides",
+     [event(), event(kind=INTERNAL)],
+     "internal event connects environment to system ('out' to 'in')"),
+    ("boundary double move, wrong-side mover",
+     [event(), event(kind=EXTERNAL_OUT, src="in", dst="out")],
+     "boundary double-move of element 'b'"),
+    ("conflicting updates, non-finite update in a later event",
+     [event(state_updates={"a": {"v": 1}}),
+      event(moved=("c",), state_updates={"a": {"v": 2}}),
+      event(moved=("k",), kind=INTERNAL, src="core", dst="in", state_updates={"x": INF})],
+     "conflicting state updates for 'a'"),
+    ("conflicting updates, wrong-side mover",
+     [event(moved=("a",), state_updates={"x": {"v": 1}}),
+      event(state_updates={"x": {"v": 2}})],
+     "conflicting state updates for 'x'"),
+    ("unknown mover, wrong-side mover in one event",
+     [event(moved=("ghost", "a"))],
+     "element 'a' is in 'in', not 'out'"),
+    ("wrong-side mover in event 1, unknown mover in event 2",
+     [event(moved=("x",)), event(moved=("ghost",))],
+     "element 'x' is in 'in', not 'out'"),
+    ("unknown mover in event 1, wrong-side mover in event 2",
+     [event(moved=("ghost",)), event(moved=("a",))],
+     "unknown element 'ghost'"),
+]
+
+
+@pytest.mark.parametrize(
+    "events, message", [row[1:] for row in TWO_FAULT_STEPS], ids=[row[0] for row in TWO_FAULT_STEPS]
+)
+def test_the_first_of_two_faults_is_the_one_named(events, message):
+    with pytest.raises(StepError) as caught:
+        apply_step(THREE_REGIONS, events)
+    assert str(caught.value) == f"step 0: {message}"
+    with pytest.raises(StepError) as caught:
+        build_trace(THREE_REGIONS, [events])
+    assert str(caught.value) == f"step 0: {message}"
+
+
+def test_an_undeclared_structure_is_named_before_the_step_is_checked():
+    with pytest.raises(StepError) as caught:
+        build_trace(THREE_REGIONS, [[event(kind="teleport", via_structure="ghost")]])
+    assert str(caught.value) == "step 0: event attributed to undeclared structure 'ghost'"
 
 
 def test_step_error_carries_the_step():
