@@ -13,7 +13,8 @@ step's count changes are its arrivals minus its departures. Each step's
 facts (its witnesses, its attributed role and its boundary-crossing mover
 count) depend on that step alone, so each is computed once per trace, the
 first time its step is asked for, and kept in a table the trace holds
-(``Trace._step_facts``); a window query then reads O(window) table entries.
+(``Trace._step_facts``); a window query is then assembled from slices of
+that table.
 ``brute_force_classify`` is the oracle and reads snapshots only: it
 rederives movement from membership diffs, takes count changes from literal
 region counts, and decides each condition by exhaustive enumeration of
@@ -29,7 +30,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, fields
-from itertools import combinations
+from itertools import chain, combinations
+from operator import attrgetter
 
 from .evolution import EXTERNAL_IN, EXTERNAL_OUT, Trace
 from .universe import ENVIRONMENT, SYSTEM, ConstructionError, ElementId, RegionId, Snapshot
@@ -60,7 +62,7 @@ def check_window(t: Trace, window: tuple[int, int]) -> tuple[int, int]:
     start, stop = window
     if start >= stop:
         raise WindowError(f"empty window {start}:{stop}")
-    if start < 0 or stop > t.n_steps:
+    if start < 0 or stop > len(t.events):
         raise WindowError(f"window {start}:{stop} outside steps 0:{t.n_steps}")
     return start, stop
 
@@ -126,6 +128,9 @@ class ActivityScore:
 def _role(roles_by_id: dict[str, str], events) -> str:
     """One step's declared role: "other" if no event is tagged, else the
     sorted roles of its tags joined by "+"."""
+    if len(events) == 1:
+        via = events[0].via_structure
+        return roles_by_id[via] if via else "other"
     roles = sorted({roles_by_id[ev.via_structure] for ev in events if ev.via_structure})
     return "+".join(roles) or "other"
 
@@ -161,6 +166,7 @@ def _movement(
 
 
 _new = object.__new__
+_set_attr = object.__setattr__
 # the slot descriptors' setters, which a frozen class's own __setattr__ refuses
 _SET_CONDITION, _SET_STEP, _SET_GROWN, _SET_SHRUNK, _SET_MOVERS = (
     Witness.__dict__[f.name].__set__ for f in fields(Witness)
@@ -256,8 +262,10 @@ def _step_witnesses(
 
 def _filled(known: list, start: int, stop: int, fact) -> list:
     """``known[start:stop]``, after computing each entry still None as
-    ``fact(i)``. The caller has range-checked the window: a negative index
-    would wrap around the list."""
+    ``fact(i)``. The table's readers slice first and search the slice for
+    None at C level, and call this only for a window with a missing entry,
+    so only such a window is walked step by step. The caller has
+    range-checked the window: a negative index would wrap around the list."""
     for i in range(start, stop):
         if known[i] is None:
             known[i] = fact(i)
@@ -272,8 +280,10 @@ class _StepFacts:
     for: ``witnesses`` (the step's witness tuple), ``roles`` (its attributed
     role) and ``crossers`` (how many elements its ``external_in`` and
     ``external_out`` events moved). The three fill apart, so a query pays
-    only for the facts it reads. Nothing here refers back to the trace, so
-    the table is freed with it.
+    only for the facts it reads, and only for the steps in its window. A
+    window is assembled from slices of these lists (see `_filled`), so a
+    query on steps already filled makes no Python-level pass over them.
+    Nothing here refers back to the trace, so the table is freed with it.
     """
 
     def __init__(self, t: Trace) -> None:
@@ -287,6 +297,9 @@ class _StepFacts:
         self._crossers: list[int | None] = [None] * n
 
     def witnesses(self, start: int, stop: int) -> list[tuple[Witness, ...]]:
+        window = self._witnesses[start:stop]
+        if None not in window:
+            return window
         return _filled(
             self._witnesses,
             start,
@@ -295,11 +308,17 @@ class _StepFacts:
         )
 
     def roles(self, start: int, stop: int) -> list[str]:
+        window = self._roles[start:stop]
+        if None not in window:
+            return window
         return _filled(
             self._roles, start, stop, lambda i: _role(self._roles_by_id, self._events[i])
         )
 
     def crossers(self, start: int, stop: int) -> list[int]:
+        window = self._crossers[start:stop]
+        if None not in window:
+            return window
         return _filled(
             self._crossers,
             start,
@@ -311,10 +330,16 @@ class _StepFacts:
 
 
 def _first(t: Trace, step: int, condition: str) -> Witness | None:
-    if not (0 <= step < t.n_steps):
+    if not (0 <= step < len(t.events)):
         raise WindowError(f"step {step} outside steps 0:{t.n_steps}")
-    (witnesses,) = t._step_facts.witnesses(step, step + 1)
-    return next((w for w in witnesses if w.condition == condition), None)
+    facts = t._step_facts
+    witnesses = facts._witnesses[step]
+    if witnesses is None:
+        (witnesses,) = facts.witnesses(step, step + 1)
+    for w in witnesses:
+        if w.condition == condition:
+            return w
+    return None
 
 
 def witness_input(t: Trace, step: int) -> Witness | None:
@@ -327,6 +352,19 @@ def witness_output(t: Trace, step: int) -> Witness | None:
 
 def witness_processing(t: Trace, step: int) -> Witness | None:
     return _first(t, step, "processing")
+
+
+_condition = attrgetter("condition")
+
+
+def _record(cls, fields_in_order: dict):
+    """``cls(**fields_in_order)`` for a frozen dataclass without slots: the
+    instance dict is stored in one call instead of one ``object.__setattr__``
+    per field by the generated ``__init__``. The dict must name every field,
+    in the order the class declares them."""
+    record = _new(cls)
+    _set_attr(record, "__dict__", fields_in_order)
+    return record
 
 
 def _report(
@@ -349,9 +387,24 @@ def _report(
 def classify(t: Trace, window: tuple[int, int]) -> IntelligenceReport:
     """Aggregate witnesses over the window and render the verdict."""
     start, stop = check_window(t, window)
-    witnesses = [w for ws in t._step_facts.witnesses(start, stop) for w in ws]
-    has = {c: any(w.condition == c for w in witnesses) for c in CONDITIONS}
-    return _report((start, stop), witnesses, has, attribution(t, window))
+    facts = t._step_facts
+    witnesses = tuple(chain.from_iterable(facts.witnesses(start, stop)))
+    held = set(map(_condition, witnesses))
+    has_input = "input" in held
+    has_processing = "processing" in held
+    has_output = "output" in held
+    return _record(
+        IntelligenceReport,
+        {
+            "window": (start, stop),
+            "witnesses": witnesses,
+            "has_input": has_input,
+            "has_processing": has_processing,
+            "has_output": has_output,
+            "verdict": has_input and has_processing and has_output,
+            "attribution": tuple(facts.roles(start, stop)),
+        },
+    )
 
 
 def _region_deltas(before: Snapshot, after: Snapshot) -> dict[RegionId, int]:
@@ -444,9 +497,12 @@ def activity(t: Trace, window: tuple[int, int], mode: str = "step") -> ActivityS
     start, stop = check_window(t, window)
     length = stop - start
     crossers = t._step_facts.crossers(start, stop)
-    return ActivityScore(
-        window=(start, stop),
-        step_activity=sum(1 for moved in crossers if moved) / length,
-        element_rate=sum(crossers) / length,
-        mode=mode,
+    return _record(
+        ActivityScore,
+        {
+            "window": (start, stop),
+            "step_activity": (length - crossers.count(0)) / length,
+            "element_rate": sum(crossers) / length,
+            "mode": mode,
+        },
     )

@@ -439,9 +439,10 @@ def build_trace(
 ) -> Trace:
     """Run a schedule forward from the initial snapshot, validating every step.
 
-    Each step is checked against one running membership and state, then
-    applied to them in place, so a step costs O(moved elements + updates).
-    The trace keeps the initial snapshot and the events only.
+    Each step is checked against one running membership, then its moves are
+    applied to it in place, so a step costs O(moved elements + updates).
+    The trace keeps the initial snapshot and the events only, so the states
+    are not replayed here: validation reads no state, only the roster.
     """
     if initial.step != 0:
         raise ConstructionError("initial snapshot must be at step 0")
@@ -463,7 +464,7 @@ def build_trace(
     known = set(decl_ids)
 
     events = tuple(tuple(evs) for evs in schedule)
-    membership, states = dict(initial.membership), dict(initial.states)
+    membership = dict(initial.membership)
     for step, step_events in enumerate(events):
         for ev in step_events:
             if ev.via_structure is not None and ev.via_structure not in known:
@@ -471,7 +472,9 @@ def build_trace(
                     ev.step, f"event attributed to undeclared structure {ev.via_structure!r}"
                 )
         _check_step(step, membership, initial.region_side, step_events)
-        _advance(membership, states, step_events)
+        for ev in step_events:
+            for eid in ev.moved:
+                membership[eid] = ev.to_region
 
     n = len(events)
     for ph in phases:

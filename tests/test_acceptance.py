@@ -5,6 +5,7 @@ Run as `pytest tests/test_acceptance.py` (the stamps print through capture)
 or with -v for the per-test verdicts as well.
 """
 
+import dataclasses
 import importlib
 import json
 import random
@@ -14,6 +15,8 @@ import tracemalloc
 import pytest
 
 from mindsets import (
+    ActivityScore,
+    IntelligenceReport,
     MimicryError,
     ScenarioConfig,
     activity,
@@ -212,12 +215,9 @@ def test_fast_path_matches_the_oracle(stamp):
           f"1000 random traces, {disagreements} disagreements")
 
 
-def snapshot_witnesses(t):
-    """Every step's canonical witnesses from the snapshots alone, as the
-    oracle builds them: moves from membership diffs, count changes from
-    region counts; no event and no step-facts table is read."""
-    system = sorted(t.initial.system_regions())
-    witnesses = []
+def snapshot_diffs(t):
+    """Each step's (step, before, after, moves) from the snapshots alone, its
+    (element, from, to) moves diffed from the two memberships."""
     snapshots = iter(t.snapshots)
     before = next(snapshots)
     for step, after in enumerate(snapshots):
@@ -226,14 +226,26 @@ def snapshot_witnesses(t):
             for eid, src in before.membership.items()
             if after.membership[eid] != src
         ]
-        witnesses += classify_module._witnesses(
-            step,
-            system,
-            classify_module._region_deltas(before, after),
-            classify_module._movement(before.region_side, moves),
-        )
+        yield step, before, after, moves
         before = after
-    return witnesses
+
+
+def diff_witnesses(system, step, before, after, moves):
+    """One step's canonical witnesses from a snapshot diff, as the oracle
+    builds them: count changes from region counts; no event and no
+    step-facts table is read."""
+    return classify_module._witnesses(
+        step,
+        system,
+        classify_module._region_deltas(before, after),
+        classify_module._movement(before.region_side, moves),
+    )
+
+
+def snapshot_witnesses(t):
+    """Every step's canonical witnesses from the snapshots alone."""
+    system = sorted(t.initial.system_regions())
+    return [w for diff in snapshot_diffs(t) for w in diff_witnesses(system, *diff)]
 
 
 def test_witnesses_match_the_snapshot_diffs_at_scale(stamp):
@@ -526,3 +538,94 @@ def test_window_queries_on_a_loaded_trace(stamp, tmp_path):
     )
     stamp("window-queries", n == 2250 and wrong == 0, elapsed, 1,
           f"hebbian trials=600: 5000 window jobs on {n} steps, {wrong} of 100 checked wrong")
+
+
+def declared_roles(t):
+    """Every step's role from the roles declared for its events' via tags."""
+    roles_by_id = {d.id: d.role for d in t.declarations}
+    return [
+        "+".join(sorted({roles_by_id[ev.via_structure] for ev in events if ev.via_structure}))
+        or "other"
+        for events in t.events
+    ]
+
+
+def window_reference(t):
+    """Answers to every window query, built without the step-facts table:
+    witnesses from snapshot diffs, boundary crossings as the diffed moves
+    between regions of two sides, roles from the declarations."""
+    system = sorted(t.initial.system_regions())
+    side = t.initial.region_side
+    by_step, crossings = [], []
+    for diff in snapshot_diffs(t):
+        by_step.append(diff_witnesses(system, *diff))
+        crossings.append(sum(side[src] != side[dst] for _, src, dst in diff[3]))
+    roles = declared_roles(t)
+
+    def report(start, stop):
+        witnesses = tuple(w for ws in by_step[start:stop] for w in ws)
+        has = [any(w.condition == c for w in witnesses) for c in ("input", "processing", "output")]
+        return IntelligenceReport((start, stop), witnesses, *has, all(has), tuple(roles[start:stop]))
+
+    def score(start, stop, mode):
+        moved = crossings[start:stop]
+        length = stop - start
+        active = sum(1 for n in moved if n)
+        return ActivityScore((start, stop), active / length, sum(moved) / length, mode)
+
+    def first(step):
+        return tuple(
+            next((w for w in by_step[step] if w.condition == c), None)
+            for c in ("input", "processing", "output")
+        )
+
+    return report, score, first
+
+
+def test_window_answers_match_an_independent_reference(stamp):
+    # short and full windows on a table that is empty, partly filled and
+    # full; the reference reads snapshots, declarations and event tags, and
+    # never the step-facts table. About 1.8 s, most of it the reference's
+    # replay of the 4060-element hebbian trace
+    traces = [
+        generate("hebbian", seed=1, trials=600, test_count=150).trace,
+        generate("sandpile", trials=1000, test_count=0).trace,
+    ]
+    started = time.perf_counter()
+    rng = random.Random(25)
+    jobs = wrong = 0
+    partial = True
+    for t in traces:
+        report, score, first = window_reference(t)
+        n = t.n_steps
+        partly = dataclasses.replace(t)
+        for _ in range(20):
+            start = rng.randrange(n)
+            window = (start, min(n, start + rng.randint(1, 100)))
+            (classify if rng.random() < 0.5 else activity)(partly, window)
+        known = partly._step_facts._witnesses
+        partial = partial and None in known and known.count(None) < n
+        full = dataclasses.replace(t)
+        classify(full, (0, n))
+        activity(full, (0, n))
+        for table in ("empty", "partly", "full"):
+            windows = []
+            for _ in range(150):
+                length = rng.randint(1, 29)
+                start = rng.randint(0, n - length)
+                windows.append((start, start + length))
+            windows.append((0, n))
+            for start, stop in windows:
+                subject = {"empty": dataclasses.replace(t), "partly": partly, "full": full}[table]
+                mode = rng.choice(("step", "element"))
+                step = rng.randrange(n)
+                jobs += 1
+                wrong += (
+                    classify(subject, (start, stop)) != report(start, stop)
+                    or attribution(subject, (start, stop)) != report(start, stop).attribution
+                    or activity(subject, (start, stop), mode=mode) != score(start, stop, mode)
+                    or (witness_input(subject, step), witness_processing(subject, step),
+                        witness_output(subject, step)) != first(step)
+                )
+    stamp("window-answers", partial and wrong == 0, time.perf_counter() - started, 6,
+          f"{jobs} window jobs on hebbian trials=600 and sandpile trials=1000, {wrong} wrong")

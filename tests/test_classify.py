@@ -13,7 +13,9 @@ from mindsets import (
     EXTERNAL_IN,
     EXTERNAL_OUT,
     INTERNAL,
+    ActivityScore,
     ConstructionError,
+    IntelligenceReport,
     ScenarioConfig,
     StructureRelation,
     Trace,
@@ -208,6 +210,23 @@ def test_the_private_constructor_gives_the_public_witness():
     (w,) = classify(t, (0, 1)).witnesses
     assert w == Witness("input", 0, "core", None, frozenset({"x"}))
     assert hash(w) == hash(Witness("input", 0, "core", None, frozenset({"x"})))
+
+
+def test_reports_and_scores_are_the_public_records():
+    # classify and activity store each record's fields as its instance dict;
+    # the result must be the record the public constructor builds
+    t = make_scenario("aplysia", ScenarioConfig(trials=3, test_count=2)).trace
+    report, score = classify(t, (2, 9)), activity(t, (2, 9), mode="element")
+    for fast, cls in ((report, IntelligenceReport), (score, ActivityScore)):
+        names = [f.name for f in dataclasses.fields(cls)]
+        public = cls(**{name: getattr(fast, name) for name in names})
+        assert type(fast) is cls and list(vars(fast)) == names
+        assert fast == public and hash(fast) == hash(public) and repr(fast) == repr(public)
+        assert pickle.dumps(fast) == pickle.dumps(public)
+        assert dataclasses.replace(fast) == fast and dataclasses.asdict(fast) == dataclasses.asdict(public)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fast.window = (0, 1)
+    assert report.verdict == (report.has_input and report.has_processing and report.has_output)
 
 
 def test_witness_helpers_validate_the_step():
@@ -423,6 +442,56 @@ def test_range_checks_hold_once_the_table_is_full():
         for name in QUERIES[:4]:
             with pytest.raises(WindowError, match="outside steps"):
                 query(t, name, window, 0)
+
+
+def filled_steps(facts):
+    """The steps each of a table's three fact lists holds an entry for."""
+    return tuple(
+        {i for i, fact in enumerate(known) if fact is not None}
+        for known in (facts._witnesses, facts._roles, facts._crossers)
+    )
+
+
+def test_a_window_query_fills_only_the_steps_it_reads(monkeypatch):
+    # the table stays lazy: a short window on a long trace computes the
+    # facts of its own steps and of no other
+    t = make_scenario("sandpile", ScenarioConfig(trials=100)).trace
+    computed = []
+    step_witnesses = classify_module._step_witnesses
+
+    def counted(step, *args):
+        computed.append(step)
+        return step_witnesses(step, *args)
+
+    monkeypatch.setattr(classify_module, "_step_witnesses", counted)
+    window = set(range(120, 135))
+    expected = {
+        "classify": (window, window, set()),
+        "attribution": (set(), window, set()),
+        "activity-step": (set(), set(), window),
+        "activity-element": (set(), set(), window),
+    }
+    for name, filled in expected.items():
+        fresh = dataclasses.replace(t)
+        computed.clear()
+        query(fresh, name, (120, 135), 0)
+        assert filled_steps(fresh._step_facts) == filled, name
+        assert sorted(computed) == sorted(filled[0]), name
+    for name in QUERIES[4:]:
+        fresh = dataclasses.replace(t)
+        computed.clear()
+        query(fresh, name, None, 77)
+        query(fresh, name, None, 77)
+        assert filled_steps(fresh._step_facts) == ({77}, set(), set()), name
+        assert computed == [77], name
+    # a window that overlaps filled steps computes only the missing ones
+    fresh = dataclasses.replace(t)
+    classify(fresh, (120, 135))
+    witness_output(fresh, 140)
+    computed.clear()
+    classify(fresh, (130, 145))
+    assert sorted(computed) == [135, 136, 137, 138, 139, 141, 142, 143, 144]
+    assert filled_steps(fresh._step_facts)[0] == set(range(120, 145))
 
 
 def test_fast_path_reads_events_and_the_first_snapshot_only(monkeypatch):
