@@ -234,10 +234,27 @@ def _join(movers: dict, region: RegionId, moved: frozenset[ElementId]) -> None:
 
 def _step_witnesses(
     step: int, events, system: list[RegionId], region_side: dict[RegionId, str]
-) -> list[Witness]:
+) -> tuple[Witness, ...]:
     """One step's witnesses from its events alone, in one pass over them:
     each region's count change is its arrivals minus its departures, and
-    each event's movers join the movement map its two sides select."""
+    each event's movers join the movement map its two sides select.
+
+    A step of one event that moves elements between two distinct regions
+    out of, into or within the system has exactly one witness, built here
+    from the event itself, with its movers the event's own set (as `_role`
+    reads a one-event step directly); `_witnesses` would give an equal one.
+    """
+    if len(events) == 1:
+        ev = events[0]
+        src, dst, moved = ev.from_region, ev.to_region, ev.moved
+        if moved and src != dst:
+            sides = (region_side[src], region_side[dst])
+            if sides == (SYSTEM, SYSTEM):
+                return (_witness("processing", step, dst, src, moved),)
+            if sides == (ENVIRONMENT, SYSTEM):
+                return (_witness("input", step, dst, None, moved),)
+            if sides == (SYSTEM, ENVIRONMENT):
+                return (_witness("output", step, None, src, moved),)
     delta: dict[RegionId, int] = {}
     arrivals_in: dict[RegionId, frozenset[ElementId]] = {}
     departures_out: dict[RegionId, frozenset[ElementId]] = {}
@@ -257,7 +274,7 @@ def _step_witnesses(
         elif sides == (SYSTEM, ENVIRONMENT):
             _join(departures_out, src, moved)
     movement = (arrivals_in, departures_out, arrivals_internal, departures_internal)
-    return _witnesses(step, system, delta, movement)
+    return tuple(_witnesses(step, system, delta, movement))
 
 
 def _filled(known: list, start: int, stop: int, fact) -> list:
@@ -304,7 +321,7 @@ class _StepFacts:
             self._witnesses,
             start,
             stop,
-            lambda i: tuple(_step_witnesses(i, self._events[i], self._system, self._region_side)),
+            lambda i: _step_witnesses(i, self._events[i], self._system, self._region_side),
         )
 
     def roles(self, start: int, stop: int) -> list[str]:

@@ -9,6 +9,7 @@ step indices.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import replace
 from functools import cache
@@ -103,22 +104,30 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _load(args, path) -> Trace:
+    """`read_trace`, then the freeze `main` owns, if it does (``args.freeze``)."""
+    t = read_trace(path)
+    if args.freeze:
+        gc.freeze()
+    return t
+
+
 def _cmd_classify(args) -> int:
-    t = read_trace(args.trace)
+    t = _load(args, args.trace)
     report = classify(t, _full_window(t, args.window))
     print(render_report(report).body, end="")
     return EXIT_OK if report.verdict else EXIT_NEGATIVE
 
 
 def _cmd_activity(args) -> int:
-    t = read_trace(args.trace)
+    t = _load(args, args.trace)
     score = activity(t, _full_window(t, args.window), mode=args.mode)
     print(render_report(score).body, end="")
     return EXIT_OK
 
 
 def _cmd_functor_check(args) -> int:
-    t = read_trace(args.trace)
+    t = _load(args, args.trace)
     report = check_functor_laws(functor_from_trace(t))
     print(render_report(report).body, end="")
     return EXIT_OK if report.passed else EXIT_NEGATIVE
@@ -126,8 +135,8 @@ def _cmd_functor_check(args) -> int:
 
 def _cmd_mimic_check(args) -> int:
     # every file is read and checked before either functor is built
-    source = read_trace(args.source)
-    target = read_trace(args.target)
+    source = _load(args, args.source)
+    target = _load(args, args.target)
     data = load_mapping(args.map)
     object_map = mapping_object_map(data, source.n_steps + 1)
     components = mapping_components(data)
@@ -144,7 +153,7 @@ def _cmd_mimic_check(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    t = read_trace(args.trace)
+    t = _load(args, args.trace)
     window = _full_window(t, args.window)
     fast = classify(t, window)
     oracle = brute_force_classify(t, window)
@@ -157,7 +166,7 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    t = read_trace(args.trace)
+    t = _load(args, args.trace)
     print(render_report(t).body, end="")
     return EXIT_OK
 
@@ -180,10 +189,20 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; return its exit code.
+
+    A loaded trace holds objects the cyclic collector would pass over again
+    and again while the command builds its answer. So after each read the
+    process's objects are frozen out of its passes (`gc.freeze`) until the
+    command ends, however it ends; but only if nothing was frozen when
+    `main` was called, so a caller's own freeze is left as it was. The
+    library's functions never freeze.
+    """
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    args.freeze = owner = gc.get_freeze_count() == 0
     try:
         return _COMMANDS[args.command](args)
     except WindowError as exc:
@@ -192,6 +211,9 @@ def main(argv=None) -> int:
     except (ConstructionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    finally:
+        if owner:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

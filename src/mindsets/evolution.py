@@ -96,18 +96,20 @@ class TransferEvent:
         state_updates: dict[ElementId, State] | None = None,
     ) -> "TransferEvent":
         """Normalize plain dict state updates into the stored sorted form."""
-        packed: tuple[tuple[ElementId, tuple[tuple[str, int | float | str], ...]], ...] = ()
-        if state_updates:
-            packed = tuple(
-                (eid, tuple(sorted(attrs.items())))
-                for eid, attrs in sorted(state_updates.items())
-            )
+        packed = _pack(state_updates) if state_updates else ()
         return _event(
             step, kind, frozenset(moved), from_region, to_region, via_structure, packed
         )
 
     def updates(self) -> dict[ElementId, State]:
         return {eid: dict(attrs) for eid, attrs in self.state_updates}
+
+
+def _pack(
+    updates: dict[ElementId, State]
+) -> tuple[tuple[ElementId, tuple[tuple[str, int | float | str], ...]], ...]:
+    """State updates in their stored form: by element, each state's names sorted."""
+    return tuple((eid, tuple(sorted(attrs.items()))) for eid, attrs in sorted(updates.items()))
 
 
 _new = object.__new__
@@ -431,21 +433,12 @@ class Trace:
         raise KeyError(label)
 
 
-def build_trace(
-    initial: Snapshot,
-    schedule: list[list[TransferEvent]],
-    phases: list[Phase] | tuple[Phase, ...] = (),
-    declarations: list[StructureRelation] | tuple[StructureRelation, ...] = (),
-) -> Trace:
-    """Run a schedule forward from the initial snapshot, validating every step.
-
-    Each step is checked against one running membership, then its moves are
-    applied to it in place, so a step costs O(moved elements + updates).
-    The trace keeps the initial snapshot and the events only, so the states
-    are not replayed here: validation reads no state, only the roster.
-    """
-    if initial.step != 0:
-        raise ConstructionError("initial snapshot must be at step 0")
+def _check_declarations(
+    initial: Snapshot, declarations: Sequence[StructureRelation]
+) -> set[str]:
+    """The declaration half of `build_trace`'s header checks: every declaration
+    scopes known regions and names known elements, and no two share an id.
+    Returns the declared ids."""
     roster = set(initial.membership)
     for decl in declarations:
         # the sorted-first offender, so the message does not depend on hashing
@@ -459,10 +452,41 @@ def build_trace(
             eid = next(eid for eid in min(tuples) if eid not in roster)
             raise ConstructionError(f"declaration {decl.id!r} names unknown element {eid!r}")
     decl_ids = [d.id for d in declarations]
-    if len(set(decl_ids)) != len(decl_ids):
-        raise ConstructionError("duplicate declaration ids")
     known = set(decl_ids)
+    if len(known) != len(decl_ids):
+        raise ConstructionError("duplicate declaration ids")
+    return known
 
+
+def _check_phases(phases: Sequence[Phase], n: int) -> None:
+    """The phase half of `build_trace`'s header checks: every phase lies
+    within the n steps."""
+    for ph in phases:
+        if not (0 <= ph.start <= ph.stop <= n):
+            raise ConstructionError(
+                f"phase {ph.label!r} interval [{ph.start}, {ph.stop}) outside 0..{n}"
+            )
+
+
+def build_trace(
+    initial: Snapshot,
+    schedule: list[list[TransferEvent]],
+    phases: list[Phase] | tuple[Phase, ...] = (),
+    declarations: list[StructureRelation] | tuple[StructureRelation, ...] = (),
+) -> Trace:
+    """Run a schedule forward from the initial snapshot, validating every step.
+
+    The declarations are checked first (`_check_declarations`), then each
+    step against one running membership, after which its moves are applied
+    to it in place, so a step costs O(moved elements + updates); the phases
+    are checked last (`_check_phases`). The trace keeps the initial snapshot
+    and the events only, so the states are not replayed here: validation
+    reads no state, only the roster. `read_trace` validates a file's steps
+    its own way as it reads them, with the same two header checks.
+    """
+    if initial.step != 0:
+        raise ConstructionError("initial snapshot must be at step 0")
+    known = _check_declarations(initial, declarations)
     events = tuple(tuple(evs) for evs in schedule)
     membership = dict(initial.membership)
     for step, step_events in enumerate(events):
@@ -475,14 +499,7 @@ def build_trace(
         for ev in step_events:
             for eid in ev.moved:
                 membership[eid] = ev.to_region
-
-    n = len(events)
-    for ph in phases:
-        if not (0 <= ph.start <= ph.stop <= n):
-            raise ConstructionError(
-                f"phase {ph.label!r} interval [{ph.start}, {ph.stop}) outside 0..{n}"
-            )
-
+    _check_phases(phases, len(events))
     return Trace(
         initial=initial,
         events=events,

@@ -2,14 +2,17 @@
 
 The trace file is line-oriented: one JSON header naming the roster, regions,
 declarations, and phases, then one JSON line per step carrying that step's
-events. Reading decodes each step line once and checks its fields in one
-pass, in a fixed order, before it builds the line's events; the cyclic
-collector is paused while a file is read, since nothing decoded forms a
-cycle. The events then go through the same construction path used
-everywhere else, `build_trace`, so a structurally broken file fails with
-the offending step named. The field checks say what is wrong, never where:
-`read_trace`'s one handler prefixes "line N:", `load_config` names its
-lines, and the mapping readers turn a failed check into their own message.
+events. Reading decodes each step line once and, in the same pass, checks
+its fields, validates its events against the running membership as
+`build_trace` would, and builds them; the cyclic collector is paused while
+a file is read, since nothing decoded forms a cycle. A file that pass has
+any doubt about is read by the ordered path instead: each line's fields
+checked in a fixed order, then the events through the construction path
+used everywhere else, `build_trace`, so a broken file fails with the first
+offending line or step named. The field checks say what is wrong, never
+where: `read_trace`'s one handler prefixes "line N:", `load_config` names
+its lines, and the mapping readers turn a failed check into their own
+message.
 Writing encodes every line with one encoder, built once. All serialization
 sorts rosters, movers, and keys, which makes equal traces produce
 byte-identical files. A trace file holds finite numbers only, and a list
@@ -24,11 +27,23 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from importlib import resources
+from math import isfinite
 from pathlib import Path
 
 from .classify import ActivityScore, IntelligenceReport, attribution
 from .categories import FUNCTOR_ROLES, LawReport
-from .evolution import Phase, StepError, Trace, TransferEvent, _event, build_trace
+from .evolution import (
+    _SIDES,
+    Phase,
+    StepError,
+    Trace,
+    TransferEvent,
+    _check_declarations,
+    _check_phases,
+    _event,
+    _pack,
+    build_trace,
+)
 from .scenarios import ScenarioBundle, ScenarioConfig
 from .universe import ConstructionError, Snapshot, StructureRelation, make_snapshot
 
@@ -325,17 +340,105 @@ def _step(line: str, step: int) -> list[TransferEvent]:
             raise _FieldError("updates", "an object")
         for eid, attrs in updates.items():
             _state(attrs, "update of", eid)
-        packed = ()
-        if updates:
-            packed = tuple(
-                (eid, tuple(sorted(attrs.items()))) for eid, attrs in sorted(updates.items())
-            )
+        packed = _pack(updates) if updates else ()
         events.append(_event(step, kind, moved, from_region, to_region, via, packed))
     return events
 
 
+def _overlap(events: list[TransferEvent]) -> bool:
+    """Whether a step's events move one element twice or update one twice."""
+    moved = [eid for ev in events for eid in ev.moved]
+    updated = [eid for ev in events for eid, _ in ev.state_updates]
+    return len(set(moved)) < len(moved) or len(set(updated)) < len(updated)
+
+
+def _read_steps(
+    lines: list[str], initial: Snapshot, declarations: list[StructureRelation]
+) -> tuple[tuple[TransferEvent, ...], ...] | None:
+    """The events of the step lines ``lines[1:]``, each line decoded, checked
+    and validated in one pass, or None at the first doubt, after which
+    `read_trace` takes its ordered path, which names the first fault.
+
+    A line is taken only in the form `trace_to_text` writes: no whitespace
+    around the value, no keys but ``step``, ``events`` and an event's six,
+    each value of its kind. Its events must pass what `build_trace` checks,
+    against one running membership: a declared ``via``; a known kind whose
+    sides its two distinct regions connect; movers listed once, each in
+    ``from`` and moved by no other event of the step; updates of known
+    elements holding finite scalars, each element updated once per step.
+    """
+    membership = dict(initial.membership)
+    region_side = initial.region_side
+    known = {d.id for d in declarations}
+    decode = _DECODER.raw_decode
+    schedule = []
+    try:
+        for step, line in enumerate(lines[1:]):
+            obj, end = decode(line)
+            number, events = obj["step"], obj["events"]
+            if (
+                end != len(line)
+                or len(obj) != 2
+                or type(number) is not int  # neither true nor 1.0, which equal 1
+                or number != step
+                or type(events) is not list
+            ):
+                return None
+            step_events = []
+            for e in events:
+                kind, moved, src, dst = e["kind"], e["moved"], e["from"], e["to"]
+                via, updates = e["via"], e["updates"]
+                # a region, kind or id of another type is not found, or raises
+                # TypeError if it cannot be hashed
+                if (
+                    len(e) != 6
+                    or (region_side.get(src), region_side.get(dst)) != _SIDES.get(kind)
+                    or src == dst
+                    or via is not None and via not in known
+                    or type(moved) is not list
+                    or not moved
+                    or type(updates) is not dict
+                ):
+                    return None
+                # only a roster id sits in a region, and a mover listed twice
+                # is in `to` by its second listing
+                for eid in moved:
+                    if membership.get(eid) != src:
+                        return None
+                    membership[eid] = dst
+                packed = ()
+                if updates:
+                    for eid, attrs in updates.items():
+                        if eid not in membership or type(attrs) is not dict:
+                            return None
+                        for value in attrs.values():
+                            if type(value) is float:
+                                if not isfinite(value):
+                                    return None
+                            elif not isinstance(value, (int, str)):
+                                return None
+                    packed = _pack(updates)
+                step_events.append(_event(step, kind, frozenset(moved), src, dst, via, packed))
+            # with one event a step cannot move or update an element twice; the
+            # advance above lets a second move from the first one's `to` pass
+            if len(step_events) > 1 and _overlap(step_events):
+                return None
+            schedule.append(tuple(step_events))
+    except (KeyError, TypeError, ValueError, RecursionError):
+        return None
+    return tuple(schedule)
+
+
 def read_trace(source: str | Path) -> Trace:
-    """Parse and replay a trace file; failures name the line or step."""
+    """Parse and replay a trace file; failures name the line or step.
+
+    After the header (`_header`), `_read_steps` reads, checks and validates
+    each step line in one pass, and only the header's declaration and phase
+    checks are left. If it has any doubt, the ordered path runs instead:
+    `_step` on every line, then `build_trace`. So the first fault is named,
+    with format faults on any line before the declaration checks, then the
+    step faults, then the phase checks.
+    """
     lines = _read_text(source, TraceFormatError).splitlines()
     if not lines:
         raise TraceFormatError("empty trace file")
@@ -346,12 +449,17 @@ def read_trace(source: str | Path) -> Trace:
     gc.disable()
     try:
         initial, declarations, phases = _header(lines[0])
-        schedule: list[list[TransferEvent]] = []
-        for line_no, line in enumerate(lines[1:], start=2):
-            schedule.append(_step(line, line_no - 2))
-        # outside its steps, build_trace checks the header's declarations and phases
-        line_no = 1
-        return build_trace(initial, schedule, phases, declarations)
+        events = _read_steps(lines, initial, declarations)
+        if events is None:
+            schedule: list[list[TransferEvent]] = []
+            for line_no, line in enumerate(lines[1:], start=2):
+                schedule.append(_step(line, line_no - 2))
+            # outside its steps, build_trace checks the header's declarations and phases
+            line_no = 1
+            return build_trace(initial, schedule, phases, declarations)
+        _check_declarations(initial, declarations)
+        _check_phases(phases, len(events))
+        return Trace(initial, events, tuple(phases), tuple(declarations))
     except StepError:
         raise
     except KeyError as exc:

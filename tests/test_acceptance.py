@@ -42,9 +42,11 @@ from mindsets import (
     witness_output,
     witness_processing,
     write_trace,
+    Trace,
     TransferEvent,
     EXTERNAL_IN,
     EXTERNAL_OUT,
+    INTERNAL,
 )
 
 from factories import (
@@ -261,6 +263,45 @@ def test_witnesses_match_the_snapshot_diffs_at_scale(stamp):
     stamp("witnesses-at-scale", traces[-1].n_steps >= 10_000 and wrong == 0,
           time.perf_counter() - started, 1.5,
           f"{len(traces)} traces of up to {traces[-1].n_steps} steps, {wrong} with other witnesses")
+
+
+def test_one_event_steps_give_the_snapshot_witnesses():
+    # a hand-built trace, unchecked by build_trace: one event per step across
+    # every pair of sides, and the events no witness comes from
+    s0 = make_snapshot(
+        [(e, None) for e in "abcdef"],
+        {"a": "lab", "b": "core", "c": "core", "d": "lab", "e": "yard", "f": "yard"},
+        {"core": "system", "sink": "system", "lab": "environment", "yard": "environment"},
+    )
+    steps = [
+        ("a", "lab", "core"),  # environment -> system: input
+        ("b", "core", "sink"),  # system -> system: processing
+        ("c", "core", "lab"),  # system -> environment: output
+        ("d", "lab", "yard"),  # environment -> environment: no witness
+        ("a", "core", "core"),  # from == to: no witness
+        ("", "core", "sink"),  # no movers: no witness
+        ("ef", "yard", "sink"),
+        ("b", "sink", "core"),
+    ]
+    events = tuple(
+        (TransferEvent.make(i, INTERNAL, frozenset(moved), src, dst),)
+        for i, (moved, src, dst) in enumerate(steps)
+    )
+    # a step of two events and an empty one go the general way
+    events += (
+        (TransferEvent.make(8, INTERNAL, {"e"}, "sink", "core"),
+         TransferEvent.make(8, EXTERNAL_OUT, {"f"}, "sink", "lab")),
+        (),
+    )
+    t = Trace(initial=s0, events=events)
+    report = classify(t, (0, t.n_steps))
+    assert list(report.witnesses) == snapshot_witnesses(t)
+    assert [(w.step, w.condition) for w in report.witnesses] == [
+        (0, "input"), (1, "processing"), (2, "output"), (6, "input"), (7, "processing"),
+        (8, "output"),
+    ]
+    for w in report.witnesses[:5]:  # a one-event step's witness keeps its event's movers
+        assert w.movers is t.events[w.step][0].moved
 
 
 def test_functor_laws_on_scenario_traces(stamp):

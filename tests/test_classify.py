@@ -196,7 +196,11 @@ def test_the_private_constructor_gives_the_public_witness():
     assert fast == public and hash(fast) == hash(public) and repr(fast) == repr(public)
     for record in (fast, public):
         copy = pickle.loads(pickle.dumps(record))
-        assert copy == record and hash(copy) == hash(record) and repr(copy) == repr(record)
+        assert copy == record and hash(copy) == hash(record)
+        # the equal set unpickling builds may list two movers in the other order
+        assert sorted(copy.movers) == sorted(record.movers)
+    one = classify_module._witness("input", 7, "core", None, frozenset({"x"}))
+    assert repr(pickle.loads(pickle.dumps(one))) == repr(one)
     assert [f.name for f in dataclasses.fields(fast)] == [
         "condition", "step", "grown_region", "shrunk_region", "movers",
     ]

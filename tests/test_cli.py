@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, windows, exit codes."""
 
+import gc
 import json
 import os
 import random
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import mindsets
-from mindsets import cli, default_mimicry_mapping, write_trace
+from mindsets import classify, cli, default_mimicry_mapping, write_trace
 from mindsets.cli import main
 
 from factories import out_and_back, random_trace
@@ -340,6 +341,48 @@ def test_mimic_check_accepts_the_shipped_mapping(small_traces, tmp_path, capsys)
     )
     assert code == 0
     assert "all laws hold" in out
+
+
+def test_main_freezes_its_traces_only_while_its_command_runs(
+    small_traces, tmp_path, capsys, monkeypatch
+):
+    counts = []
+
+    def counted(*args):
+        counts.append(gc.get_freeze_count())
+        return classify(*args)
+
+    monkeypatch.setattr(cli, "classify", counted)
+    mapping = tmp_path / "map.json"
+    mapping.write_text(json.dumps(default_mimicry_mapping()))
+    bad = tmp_path / "bad.trace"
+    bad.write_text("{not json\n")
+    runs = [
+        (0, ["classify", "--trace", small_traces["hebbian"]]),
+        (1, ["classify", "--trace", small_traces["off"]]),
+        (2, ["classify", "--trace", small_traces["off"], "--window", "5:5"]),
+        (2, ["classify", "--window", "0:1"]),
+        (3, ["classify", "--trace", bad]),
+        (0, ["mimic-check", "--source", small_traces["aplysia"],
+             "--target", small_traces["hebbian"], "--map", mapping]),
+    ]
+    gc.unfreeze()
+    try:
+        for code, argv in runs:
+            assert run_cli(capsys, *map(str, argv))[0] == code, argv
+            assert gc.get_freeze_count() == 0, argv
+        assert len(counts) == 3 and min(counts) > 0
+        # a caller's freeze is the caller's: main neither adds to it nor undoes
+        # it (frozen objects are still freed, so the count may only drop)
+        gc.freeze()
+        frozen = gc.get_freeze_count()
+        counts.clear()
+        for code, argv in runs:
+            assert run_cli(capsys, *map(str, argv))[0] == code, argv
+            assert 0 < gc.get_freeze_count() <= frozen, argv
+        assert len(counts) == 3 and max(counts) <= frozen
+    finally:
+        gc.unfreeze()
 
 
 def test_mimic_check_rejects_a_corrupted_mapping(small_traces, tmp_path, capsys):

@@ -69,7 +69,11 @@ def test_the_private_constructor_gives_the_public_record():
                               {"a": {"v": 1.5}}) == fast
     for record in (fast, public):
         copy = pickle.loads(pickle.dumps(record))
-        assert copy == record and hash(copy) == hash(record) and repr(copy) == repr(record)
+        assert copy == record and hash(copy) == hash(record)
+        # the equal set unpickling builds may list two movers in the other order
+        assert sorted(copy.moved) == sorted(record.moved)
+    one = _event(3, EXTERNAL_IN, frozenset({"b"}), "out", "in", None, ())
+    assert repr(pickle.loads(pickle.dumps(one))) == repr(one)
     assert [f.name for f in fields(fast)] == [
         "step", "kind", "moved", "from_region", "to_region", "via_structure", "state_updates",
     ]

@@ -9,6 +9,7 @@ import pytest
 
 from mindsets import (
     ConfigError,
+    ConstructionError,
     ScenarioConfig,
     StepError,
     TraceFormatError,
@@ -31,9 +32,10 @@ from mindsets import (
     write_trace,
 )
 
+import mindsets.io as io_module
 from mindsets.cli import main
 
-from factories import random_trace
+from factories import out_and_back, random_trace, steady_trace
 
 SMALL = ScenarioConfig(seed=1, trials=4, test_count=2)
 
@@ -303,6 +305,158 @@ def test_read_trace_replays_through_validation(tmp_path):
     # step 1, where the original schedule forwards the absent stim_0
     with pytest.raises(Exception, match="step 1: element 'stim_0'"):
         read_trace(path)
+
+
+SCENARIOS = ("hebbian", "backprop", "aplysia", "sandpile", "off")
+
+
+def read_ordered(path):
+    """The trace, or the refusal, that `read_trace`'s ordered path gives:
+    every line through `_step`, then `build_trace`."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(io_module, "_read_steps", lambda *args: None)
+        return read_trace(path)
+
+
+def reader_corpus():
+    """Every scenario at two sizes, random traces, and the small factory traces."""
+    traces = [
+        make_scenario(name, ScenarioConfig(seed=1, trials=trials, test_count=trials // 2),
+                      steps=6 * trials).trace
+        for name in SCENARIOS for trials in (3, 30)
+    ]
+    traces += [random_trace(random.Random(seed), with_metadata=True) for seed in range(30)]
+    traces += [out_and_back("w", "b", extra_steps=2, trips=3), steady_trace(["a", "b"], steps=5)]
+    return traces
+
+
+def test_read_trace_equals_the_ordered_path(tmp_path):
+    for i, t in enumerate(reader_corpus()):
+        path = tmp_path / f"{i}.trace"
+        write_trace(t, path)
+        fast, ordered = read_trace(path), read_ordered(path)
+        assert fast == ordered == t, i
+        assert trace_to_text(fast).encode() == trace_to_text(ordered).encode() == path.read_bytes()
+    # padded lines and extra keys: the ordered path reads them, as it always has
+    t = make_scenario("aplysia", SMALL).trace
+    lines = trace_to_text(t).splitlines()
+    for changed in (
+        [" " + lines[1] + "\t"],
+        [lines[1] + "  "],
+        [lines[1].replace('{"events":', '{"note":1,"events":', 1)],
+        [lines[1].replace('"from":', '"note":[],"from":', 1)],
+    ):
+        path = write_lines(tmp_path / "changed.trace", lines[:1] + changed + lines[2:])
+        initial, declarations, _ = io_module._header(lines[0])
+        assert io_module._read_steps(lines[:1] + changed, initial, declarations) is None
+        assert read_trace(path) == read_ordered(path) == t
+
+
+def test_valid_scenario_files_are_read_in_one_pass(tmp_path, monkeypatch):
+    # a one-pass reader that always handed its files to the ordered path
+    # would still read them right; on valid files it must not
+    paths = []
+    for i, t in enumerate(reader_corpus()):
+        paths.append(tmp_path / f"{i}.trace")
+        write_trace(t, paths[-1])
+
+    def no_step(*args):
+        raise AssertionError("read a line by the ordered path")
+
+    monkeypatch.setattr(io_module, "_step", no_step)
+    for path in paths:
+        read_trace(path)
+
+
+ARRIVAL = {"from": "sea", "kind": "external_in", "moved": ["stim_0"], "to": "receptors",
+           "updates": {}, "via": "input_structure"}
+
+
+def step_line(*events, step=0):
+    return json.dumps({"events": list(events), "step": step}, sort_keys=True)
+
+
+def arrival(**fields):
+    """The first event of the SMALL aplysia trace, with some fields changed."""
+    return {**ARRIVAL, **fields}
+
+
+# step-0 lines of the SMALL aplysia trace, each with one fault, and how it is
+# named: first faults whose values every lookup of the one-pass reader takes
+FORMAT_FAULTS = [
+    (step_line(arrival()) + " x", r"^line 2: invalid JSON \(Extra data\)$"),
+    (step_line(arrival(moved={"stim_0": 0})), "^line 2: moved is not a list$"),
+    (step_line(arrival(updates=[])), "^line 2: updates is not an object$"),
+    (step_line(arrival(updates={"syn": []})), "^line 2: update of 'syn' is not an object$"),
+    (step_line(arrival(updates={"syn": {"v": None}})), "^line 2: update of 'syn' value 'v' is"),
+    (step_line(arrival(), step=True), "^line 2: step is not an integer$"),
+]
+# then fields all of the right kind, each failing one check of the validation
+STEP_FAULTS = [
+    (step_line(arrival(via="ghost")), "step 0: event attributed to undeclared structure 'ghost'$"),
+    (step_line(arrival(kind="sideways")), "step 0: unknown event kind 'sideways'$"),
+    (step_line(arrival(kind="internal")), "step 0: internal event connects environment to system"),
+    (step_line(arrival(to="sea")), "step 0: event moves nothing across regions$"),
+    (step_line(arrival(kind="internal", moved=["skin_0"], **{"from": "receptors", "to": "receptors"})),
+     "step 0: event moves nothing across regions$"),
+    (step_line(arrival(to="elsewhere")), "step 0: unknown region 'elsewhere'$"),
+    (step_line(arrival(moved=[])), "step 0: event moves no elements$"),
+    (step_line(arrival(moved=["resp_0"])), "step 0: element 'resp_0' is in 'gill_muscle', not"),
+    (step_line(arrival(moved=["ghost"])), "step 0: unknown element 'ghost'$"),
+    (step_line(arrival(updates={"ghost": {"v": 1}})),
+     "step 0: state update names unknown element 'ghost'$"),
+    (step_line(arrival(updates={"syn": {"v": 1.5}})).replace("1.5", "1e999"),
+     "step 0: a state update holds a number that is not finite$"),
+    (step_line(arrival(), arrival(to="motor_pool")), "step 0: element 'stim_0' moved by two"),
+    # a second move from the first one's `to` would pass a running membership
+    (step_line(arrival(), arrival(kind="internal", **{"from": "receptors", "to": "motor_pool"})),
+     "step 0: element 'stim_0' moved by two events$"),
+    (step_line(arrival(), arrival(kind="external_out", **{"from": "receptors", "to": "sea"})),
+     "step 0: boundary double-move of element 'stim_0'$"),
+    (step_line(arrival(updates={"syn": {"v": 1}}), arrival(moved=["stim_1"], updates={"syn": {}})),
+     "step 0: conflicting state updates for 'syn'$"),
+]
+
+
+def test_each_fault_is_left_to_the_ordered_path(tmp_path):
+    t = make_scenario("aplysia", SMALL).trace
+    lines = trace_to_text(t).splitlines()
+    assert json.loads(lines[1])["events"] == [ARRIVAL]
+    initial, declarations, _ = io_module._header(lines[0])
+    # the unchanged event and a valid two-event step are read in one pass
+    for valid in (step_line(arrival()), step_line(arrival(), arrival(moved=["stim_1"]))):
+        assert io_module._read_steps([lines[0], valid], initial, declarations) is not None
+    faults = [(line, TraceFormatError, message) for line, message in FORMAT_FAULTS]
+    faults += [(line, StepError, message) for line, message in STEP_FAULTS]
+    for line, error, message in faults:
+        assert io_module._read_steps([lines[0], line], initial, declarations) is None, message
+        path = write_lines(tmp_path / "bad.trace", [lines[0], line])
+        for read in (read_trace, read_ordered):
+            with pytest.raises(error, match=message):
+                read(path)
+
+
+def test_of_two_faults_the_ordered_path_names_the_same_one(tmp_path):
+    t = make_scenario("aplysia", SMALL).trace
+    lines = trace_to_text(t).splitlines()
+    moved_off = step_line(arrival(moved=["resp_0"]))
+    scoped = lines[0].replace('"scope":["receptors"]', '"scope":["attic"]', 1)
+    late = lines[0].replace('["test",12,18]', '["test",12,99]', 1)
+    assert scoped != lines[0] and late != lines[0]
+    for changed, message in (
+        # a format fault on the last line comes before a step fault at step 0
+        ([lines[0], moved_off] + lines[2:-1] + ["{not json"],
+         rf"^line {len(lines)}: invalid JSON"),
+        # a bad declaration comes before a step fault
+        ([scoped, moved_off] + lines[2:],
+         "^line 1: declaration 'input_structure' scopes unknown region 'attic'$"),
+        # a step fault comes before a bad phase
+        ([late, moved_off] + lines[2:], "^step 0: element 'resp_0' is in"),
+    ):
+        path = write_lines(tmp_path / "two.trace", changed)
+        for read in (read_trace, read_ordered):
+            with pytest.raises(ConstructionError, match=message):
+                read(path)
 
 
 def test_parse_window():

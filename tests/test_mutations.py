@@ -3,7 +3,8 @@
 Each mutant changes one JSON value of a valid trace line or mapping, or one
 line of a config file, and goes through `cli.main`. No mutant may escape as
 an exception or exit with anything but 0, 1 or 3, and a refused trace must
-name its line or step exactly once.
+name its line or step exactly once. Trace mutants with one or two changed
+values must also read as the reader's ordered path reads them.
 """
 
 import contextlib
@@ -16,7 +17,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mindsets import ScenarioConfig, default_mimicry_mapping, make_scenario, trace_to_text
+import mindsets.io as io_module
+from mindsets import (
+    ConstructionError,
+    ScenarioConfig,
+    default_mimicry_mapping,
+    make_scenario,
+    read_trace,
+    trace_to_text,
+)
 from mindsets.cli import main
 from mindsets.scenarios import SCENARIO_NAMES
 
@@ -58,10 +67,19 @@ def replaced(value, path, new):
     return copy
 
 
-def mutant(draw, document):
-    """`document` with one of its values replaced, as JSON text."""
+def mutant(draw, document, values=JSON_VALUES):
+    """`document` with one of its values replaced by one of `values`, as JSON text."""
     path = draw(st.sampled_from(list(value_paths(document))))
-    return json.dumps(replaced(document, path, draw(JSON_VALUES)))
+    return json.dumps(replaced(document, path, draw(values)))
+
+
+def vocabulary(header: dict):
+    """Values a trace's own step lines could hold: its element, region and
+    declaration ids, the event kinds, and short lists of its elements."""
+    elements = [eid for eid, _, _ in header["elements"]]
+    names = elements + [r for r, _ in header["regions"]] + [d["id"] for d in header["declarations"]]
+    names += ["external_in", "external_out", "internal"]
+    return st.sampled_from(names) | st.lists(st.sampled_from(elements), max_size=3)
 
 
 def run(*argv):
@@ -95,6 +113,32 @@ def test_trace_mutants_exit_cleanly_and_name_their_line(files, data):
     code, err = run("classify", "--trace", str(path))
     if code == 3:
         assert len(re.findall(r"\b(?:line|step) \d+:", err)) == 1, err
+
+
+def outcome(path):
+    """The trace read from `path`, or the type and message of its refusal."""
+    try:
+        return read_trace(path)
+    except ConstructionError as exc:
+        return type(exc), str(exc)
+
+
+@settings(FUZZ, max_examples=300)
+@given(data=st.data())
+def test_trace_mutants_read_as_the_ordered_path_reads_them(files, data):
+    # the one-pass reader either gives the ordered path's trace or leaves the
+    # file to it; with two faults, the same one is named
+    lines = files["aplysia"].read_text().splitlines()
+    values = JSON_VALUES | vocabulary(json.loads(lines[0]))
+    for _ in range(data.draw(st.integers(1, 2), label="changes")):
+        at = data.draw(st.integers(0, 5), label="line")
+        lines[at] = mutant(data.draw, json.loads(lines[at]), values)
+    path = files["root"] / "mutant.trace"
+    path.write_text("\n".join(lines) + "\n")
+    read = outcome(path)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(io_module, "_read_steps", lambda *args: None)
+        assert read == outcome(path)
 
 
 @settings(FUZZ, max_examples=60)  # each run builds two functors
