@@ -13,10 +13,11 @@ offending line or step named. The field checks say what is wrong, never
 where: `read_trace`'s one handler prefixes "line N:", `load_config` names
 its lines, and the mapping readers turn a failed check into their own
 message.
-Writing encodes every line with one encoder, built once. All serialization
+Writing formats each line from the fields, ids quoted by the encoder's own
+C function and only states and updates encoded whole. All serialization
 sorts rosters, movers, and keys, which makes equal traces produce
-byte-identical files. A trace file holds finite numbers only, and a list
-that is read into a set lists each entry once.
+byte-identical files. A trace file holds finite numbers and string ids
+only, and a list that is read into a set lists each entry once.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .evolution import (
     build_trace,
 )
 from .scenarios import ScenarioBundle, ScenarioConfig
-from .universe import ConstructionError, Snapshot, StructureRelation, make_snapshot
+from .universe import SIDES, ConstructionError, Snapshot, StructureRelation
 
 __all__ = [
     "FORMAT_NAME",
@@ -86,52 +87,61 @@ class MappingFormatError(ConstructionError):
 # compact sorted JSON, in which a number that is not finite raises ValueError;
 # built once, as json.dumps with these keyword arguments builds one per call
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
-
-
-def _declaration_to_dict(d: StructureRelation) -> dict:
-    return {
-        "id": d.id,
-        "role": d.role,
-        "arity": d.arity,
-        "factors": list(d.factors),
-        "scope": sorted(d.scope),
-        "tuples": sorted(list(t) for t in d.tuples),
-    }
-
-
-def _event_to_dict(ev: TransferEvent) -> dict:
-    return {
-        "kind": ev.kind,
-        "from": ev.from_region,
-        "to": ev.to_region,
-        "moved": sorted(ev.moved),
-        "via": ev.via_structure,
-        "updates": {eid: dict(attrs) for eid, attrs in ev.state_updates},
-    }
+# the C function that quotes a string for `_dumps`; any other value raises TypeError
+_quote = json.encoder.encode_basestring_ascii
 
 
 def trace_to_text(t: Trace) -> str:
-    initial = t.initial
-    header = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "elements": sorted(
-            [eid, region, initial.states[eid]]
-            for eid, region in initial.membership.items()
-        ),
-        "regions": sorted([r, side] for r, side in initial.region_side.items()),
-        "declarations": [_declaration_to_dict(d) for d in t.declarations],
-        "phases": [[p.label, p.start, p.stop] for p in t.phases],
-    }
-    lines = []
+    """The text `_dumps` gives for the header object, then for each step's
+    ``{"events": [...], "step": i}``, rosters and movers sorted. Each line is
+    formatted from the fields, keys in sorted order; only a non-empty state
+    or update goes through `_dumps`, which writes its numbers and refuses one
+    that is not finite. An id that is not a string is refused too."""
+    q, initial, states = _quote, t.initial, t.initial.states
+    lines: list[str] = []
     try:
-        lines.append(_dumps(header))
+        elements = ",".join([
+            f"[{q(eid)},{q(region)},{_dumps(states[eid]) if states[eid] else '{}'}]"
+            for eid, region in sorted(initial.membership.items())
+        ])
+        regions = ",".join([f"[{q(r)},{q(s)}]" for r, s in sorted(initial.region_side.items())])
+        declarations = _dumps([
+            {"arity": d.arity, "factors": list(d.factors), "id": d.id, "role": d.role,
+             "scope": sorted(d.scope), "tuples": sorted(list(tup) for tup in d.tuples)}
+            for d in t.declarations
+        ])
+        lines.append(
+            f'{{"declarations":{declarations},"elements":[{elements}],"format":{q(FORMAT_NAME)},'
+            f'"phases":{_dumps([[p.label, p.start, p.stop] for p in t.phases])},'
+            f'"regions":[{regions}],"version":{FORMAT_VERSION}}}'
+        )
         for i, step_events in enumerate(t.events):
-            lines.append(_dumps({"step": i, "events": [_event_to_dict(e) for e in step_events]}))
+            events = ",".join([
+                f'{{"from":{q(ev.from_region)},"kind":{q(ev.kind)},'
+                f'"moved":[{",".join(map(q, sorted(ev.moved)))}],"to":{q(ev.to_region)},'
+                f'"updates":{_dumps(ev.updates()) if ev.state_updates else "{}"},'
+                f'"via":{"null" if ev.via_structure is None else q(ev.via_structure)}}}'
+                for ev in step_events
+            ])
+            lines.append(f'{{"events":[{events}],"step":{i}}}')
     except ValueError:
         where = f"step {len(lines) - 1}: a state update" if lines else "an initial state"
         raise ConstructionError(f"{where} holds a number that is not finite") from None
-    return "\n".join(lines) + "\n"
+    except TypeError:  # from a sort or `_quote`; one from `_dumps` is raised as it is
+        step, members = len(lines) - 1, initial.membership
+        ids = [*members, *members.values(), *initial.region_side] if step < 0 else [
+            i for ev in t.events[step] for i in (
+                ev.kind, ev.from_region, ev.to_region, *sorted(ev.moved, key=repr),
+                "" if ev.via_structure is None else ev.via_structure,
+            )
+        ]
+        for i in ids:
+            if not isinstance(i, str):
+                where = f"step {step}: " if step >= 0 else ""
+                raise ConstructionError(f"{where}id {i!r} is not a string") from None
+        raise
+    lines.append("")  # for the last newline, so the joined text is not copied again
+    return "\n".join(lines)
 
 
 def write_trace(t: Trace, destination: str | Path) -> None:
@@ -198,15 +208,19 @@ def _object(value, what: str) -> dict:
     return value
 
 
-def _state(value, label: str, eid: str) -> dict:
-    """An element state: an object whose values are scalars, as `State` holds.
-    A failure names it "`label` `eid`", a name built only then."""
+def _state(value, label: str, eid: str) -> bool:
+    """Whether the numbers of an element state, an object whose values are
+    scalars as `State` holds, are all finite. A failed check names the state
+    "`label` `eid`", a name built only then."""
     if not isinstance(value, dict):
         raise _FieldError(f"{label} {eid!r}", "an object")
+    finite = True
     for key, v in value.items():
-        if not isinstance(v, (int, float, str)):
+        if isinstance(v, float):
+            finite = finite and isfinite(v)
+        elif not isinstance(v, (int, str)):
             raise _FieldError(f"{label} {eid!r} value {key!r}", "a scalar")
-    return value
+    return finite
 
 
 def _refuse_constant(name: str):
@@ -247,7 +261,11 @@ def _loads(text: str, error: type[ConstructionError], decoder=_DECODER):
 
 
 def _header(line: str) -> tuple[Snapshot, list[StructureRelation], list[Phase]]:
-    """The initial snapshot, declarations and phases that the header describes."""
+    """The initial snapshot, declarations and phases that the header describes.
+    Each element entry is checked once and the snapshot built from what was
+    read. The faults `make_snapshot` would name (a duplicate id, a state number
+    that is not finite, an unknown side, a region without a side) keep its
+    messages and order, after every format fault: the first is raised last."""
     header = _loads(line, TraceFormatError, _UNIQUE_KEY_DECODER)
     if not isinstance(header, dict):
         raise TraceFormatError("expected an object")
@@ -256,88 +274,69 @@ def _header(line: str) -> tuple[Snapshot, list[StructureRelation], list[Phase]]:
     version = header.get("version")
     if not _is_integer(version) or version != FORMAT_VERSION:
         raise TraceFormatError(f"unsupported format version {version!r}")
-    elements, membership, region_side = [], {}, {}
+    states, membership, region_side, faults = {}, {}, {}, []
     for entry in _list(header["elements"], "elements"):
         if not isinstance(entry, list) or len(entry) != 3:
             raise _FieldError("element entry", "a list of 3")
         eid, region, state = entry
         if not isinstance(eid, str):
             raise _FieldError("element id", "a string")
-        elements.append((eid, _state(state, "state of", eid)))
+        finite = state == {} or _state(state, "state of", eid)  # most states are empty
         if not isinstance(region, str):
             raise _FieldError(f"region of {eid!r}", "a string")
+        if eid in states:
+            faults.append(f"duplicate element id {eid!r}")
+        elif not finite:
+            faults.append(f"initial state of {eid!r} holds a number that is not finite")
+        states[eid] = state
         membership[eid] = region
     for entry in _list(header["regions"], "regions"):
         region, side = _list(entry, "region entry", 2)
-        region = _text(region, "region id")
-        if region in region_side:
+        if _text(region, "region id") in region_side:
             raise TraceFormatError(f"region {region!r} listed twice")
         region_side[region] = side
+        if side not in SIDES:
+            faults.append(f"region {region!r} has unknown side {side!r}")
     declarations = []
     for d in _list(header["declarations"], "declarations"):
         did = _text(_object(d, "declaration")["id"], "declaration id")
-        tuples = f"tuples of {did!r}"
-        declarations.append(
-            StructureRelation(
-                id=did,
-                role=d["role"],
-                arity=_integer(d["arity"], f"arity of {did!r}"),
-                tuples=_set(
-                    [tuple(_texts(t, f"tuple of {did!r}")) for t in _list(d["tuples"], tuples)],
-                    tuples,
-                ),
-                scope=_set(_texts(d["scope"], f"scope of {did!r}"), f"scope of {did!r}"),
-                factors=tuple(_texts(d["factors"], f"factors of {did!r}")),
-            )
-        )
+        tuples, scope = f"tuples of {did!r}", f"scope of {did!r}"
+        declarations.append(StructureRelation(
+            id=did, role=d["role"], arity=_integer(d["arity"], f"arity of {did!r}"),
+            tuples=_set(
+                [tuple(_texts(t, f"tuple of {did!r}")) for t in _list(d["tuples"], tuples)], tuples
+            ),
+            scope=_set(_texts(d["scope"], scope), scope),
+            factors=tuple(_texts(d["factors"], f"factors of {did!r}")),
+        ))
     phases = []
     for entry in _list(header["phases"], "phases"):
         label, start, stop = _list(entry, "phase entry", 3)
         label = _text(label, "phase label")
         start = _integer(start, f"start of phase {label!r}")
         phases.append(Phase(label, start, _integer(stop, f"stop of phase {label!r}")))
-    return make_snapshot(elements, membership, region_side), declarations, phases
+    if not faults and not region_side.keys() >= set(membership.values()):
+        faults = [f"region {r!r} without side" for r in membership.values() if r not in region_side]
+    if faults:
+        raise ConstructionError(faults[0])
+    return Snapshot(0, membership, region_side, states), declarations, phases
 
 
 def _step(line: str, step: int) -> list[TransferEvent]:
     """The events of the line that must hold step `step`, checked field by
     field in a fixed order, so the first wrong field is the one named."""
-    try:
-        obj, end = _DECODER.raw_decode(line)
-    except (ValueError, RecursionError):
-        end = -1
-    if end != len(line):  # whitespace around the value, or not JSON: read as the header is
-        obj = _loads(line, TraceFormatError)
+    obj = _loads(line, TraceFormatError)
     if not isinstance(obj, dict):
         raise TraceFormatError("expected an object")
     if _integer(obj.get("step"), "step") != step:
         raise TraceFormatError(f"expected step {step}")
     events = []
     for e in _list(obj.get("events"), "events"):
-        if not isinstance(e, dict):
-            raise _FieldError("event", "an object")
-        kind = e["kind"]
-        if not isinstance(kind, str):
-            raise _FieldError("kind", "a string")
-        moved = e["moved"]
-        if not isinstance(moved, list):
-            raise _FieldError("moved", "a list")
-        for eid in moved:  # before the set is built, which hashes them
-            if not isinstance(eid, str):
-                raise _FieldError("moved entry", "a string")
-        moved = _set(moved, "moved")
-        from_region = e["from"]
-        if not isinstance(from_region, str):
-            raise _FieldError("from", "a string")
-        to_region = e["to"]
-        if not isinstance(to_region, str):
-            raise _FieldError("to", "a string")
-        via = e["via"]
-        if via is not None and not isinstance(via, str):
-            raise _FieldError("via", "a string")
-        updates = e["updates"]
-        if not isinstance(updates, dict):
-            raise _FieldError("updates", "an object")
+        kind = _text(_object(e, "event")["kind"], "kind")
+        moved = _set(_texts(e["moved"], "moved"), "moved")  # each a string before it is hashed
+        from_region, to_region = _text(e["from"], "from"), _text(e["to"], "to")
+        via = None if e["via"] is None else _text(e["via"], "via")
+        updates = _object(e["updates"], "updates")
         for eid, attrs in updates.items():
             _state(attrs, "update of", eid)
         packed = _pack(updates) if updates else ()

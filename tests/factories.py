@@ -7,11 +7,14 @@ on that, so the factory is the place where it is enforced. `out_and_back`
 and `steady_trace` stage carriers that blink or stay put, for the functor
 and mimicry checks. `eager_snapshots`, `conservation_scan` and
 `snapshot_functor` are the oracles for the trace replay, for
-`verify_conservation` and for `functor_from_trace`.
+`verify_conservation` and for `functor_from_trace`; `reference_trace_text`
+is the oracle for `trace_to_text`: the writer that builds a dict per line
+and encodes it with the sorting encoder.
 """
 
 from __future__ import annotations
 
+import json
 import random
 
 import numpy as np
@@ -34,6 +37,8 @@ from mindsets import (
     make_snapshot,
 )
 from mindsets.categories import FUNCTOR_ROLES
+from mindsets.io import FORMAT_NAME, FORMAT_VERSION
+from mindsets.universe import ConstructionError
 
 SYSTEM_REGIONS = ("s0", "s1", "s2")
 ENV_REGIONS = ("v0", "v1")
@@ -267,6 +272,59 @@ def snapshot_functor(t: Trace) -> TimeFunctor:
         )
         runs.append(later)
     return TimeFunctor(n=t.n_steps, objects=objects, run_ends=tuple(reversed(runs)))
+
+
+# compact sorted JSON, in which a number that is not finite raises ValueError;
+# built once, as json.dumps with these keyword arguments builds one per call
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+
+
+def _declaration_to_dict(d: StructureRelation) -> dict:
+    return {
+        "id": d.id,
+        "role": d.role,
+        "arity": d.arity,
+        "factors": list(d.factors),
+        "scope": sorted(d.scope),
+        "tuples": sorted(list(t) for t in d.tuples),
+    }
+
+
+def _event_to_dict(ev: TransferEvent) -> dict:
+    return {
+        "kind": ev.kind,
+        "from": ev.from_region,
+        "to": ev.to_region,
+        "moved": sorted(ev.moved),
+        "via": ev.via_structure,
+        "updates": {eid: dict(attrs) for eid, attrs in ev.state_updates},
+    }
+
+
+def reference_trace_text(t: Trace) -> str:
+    """The oracle for `trace_to_text`: a dict for the header and for each
+    step, each encoded by the sorting encoder."""
+    initial = t.initial
+    header = {
+        "format": FORMAT_NAME,
+        "version": FORMAT_VERSION,
+        "elements": sorted(
+            [eid, region, initial.states[eid]]
+            for eid, region in initial.membership.items()
+        ),
+        "regions": sorted([r, side] for r, side in initial.region_side.items()),
+        "declarations": [_declaration_to_dict(d) for d in t.declarations],
+        "phases": [[p.label, p.start, p.stop] for p in t.phases],
+    }
+    lines = []
+    try:
+        lines.append(_dumps(header))
+        for i, step_events in enumerate(t.events):
+            lines.append(_dumps({"step": i, "events": [_event_to_dict(e) for e in step_events]}))
+    except ValueError:
+        where = f"step {len(lines) - 1}: a state update" if lines else "an initial state"
+        raise ConstructionError(f"{where} holds a number that is not finite") from None
+    return "\n".join(lines) + "\n"
 
 
 def nearest_centroid_predictions(

@@ -2,14 +2,25 @@
 
 import gc
 import json
+from dataclasses import replace
 import random
 import re
 
+import numpy as np
 import pytest
 
 from mindsets import (
+    EXTERNAL_IN,
+    EXTERNAL_OUT,
+    INTERNAL,
     ConfigError,
     ConstructionError,
+    Phase,
+    StructureRelation,
+    Trace,
+    TransferEvent,
+    build_trace,
+    make_snapshot,
     ScenarioConfig,
     StepError,
     TraceFormatError,
@@ -32,10 +43,12 @@ from mindsets import (
     write_trace,
 )
 
+import mindsets.evolution as evolution_module
 import mindsets.io as io_module
+import mindsets.universe as universe_module
 from mindsets.cli import main
 
-from factories import out_and_back, random_trace, steady_trace
+from factories import out_and_back, random_trace, reference_trace_text, steady_trace
 
 SMALL = ScenarioConfig(seed=1, trials=4, test_count=2)
 
@@ -366,6 +379,166 @@ def test_valid_scenario_files_are_read_in_one_pass(tmp_path, monkeypatch):
     monkeypatch.setattr(io_module, "_step", no_step)
     for path in paths:
         read_trace(path)
+
+
+def test_reading_builds_the_snapshot_make_snapshot_builds(tmp_path, monkeypatch):
+    paths = []
+    for i, t in enumerate(reader_corpus()):
+        paths.append(tmp_path / f"{i}.trace")
+        write_trace(t, paths[-1])
+    for path in paths:
+        header = json.loads(path.read_text().splitlines()[0])
+        expected = make_snapshot(
+            [(eid, state) for eid, _, state in header["elements"]],
+            {eid: region for eid, region, _ in header["elements"]},
+            {region: side for region, side in header["regions"]},
+        )
+        initial = read_trace(path).initial
+        assert initial == expected, path
+        # and in the same order, which later walks of the roster follow
+        for field in ("membership", "region_side", "states"):
+            assert list(getattr(initial, field).items()) == list(getattr(expected, field).items())
+
+    def no_snapshot(*args):
+        raise AssertionError("read a header through make_snapshot")
+
+    for module in (universe_module, evolution_module, io_module):
+        monkeypatch.setattr(module, "make_snapshot", no_snapshot, raising=False)
+    for path in paths:
+        read_trace(path)
+
+
+def test_of_two_header_faults_the_same_one_is_named(tmp_path):
+    # the faults make_snapshot would find come after every format fault of
+    # the header, and among themselves in its order: by entry, a duplicate
+    # id or a state that is not finite, then an unknown side, then a region
+    # without one
+    good = trace_to_text(make_scenario("off", SMALL, steps=2).trace).splitlines()
+    huge_core = ('"core_0","cpu",{}', '"core_0","cpu",{"v":1e999}')
+    huge_dust = ('"dust_1","mains",{}', '"dust_1","mains",{"v":1e999}')
+    no_cpu = ('["cpu","system"],', "")
+    for faults, message in (
+        ([huge_core, ('["idle",0,2]', '["idle",0]')], "phase entry is not a list of 3"),
+        ([huge_core, ('"arity":1', '"arity":"x"')],
+         "arity of 'input_structure' is not an integer"),
+        ([no_cpu, huge_dust], "initial state of 'dust_1' holds a number that is not finite"),
+        ([('["ram","system"]', '["ram","nowhere"]'), no_cpu],
+         "region 'ram' has unknown side 'nowhere'"),
+        ([huge_dust, ('"elements":[', '"elements":[["core_0","ram",{}],')],
+         "duplicate element id 'core_0'"),
+        # and each fault alone
+        ([huge_dust], "initial state of 'dust_1' holds a number that is not finite"),
+        ([no_cpu], "region 'cpu' without side"),
+        ([('["ram","system"]', '["ram",["system"]]')],
+         r"region 'ram' has unknown side \['system'\]"),
+    ):
+        header = good[0]
+        for old, new in faults:
+            assert old in header, old
+            header = header.replace(old, new, 1)
+        path = write_lines(tmp_path / "two.trace", [header] + good[1:])
+        for read in (read_trace, read_ordered):
+            with pytest.raises(TraceFormatError, match=f"^line 1: {message}$"):
+                read(path)
+
+
+# ids the encoder escapes: non-ASCII characters, some outside the basic
+# plane (written as surrogate pairs), quotes, backslashes, control
+# characters and the solidus, which it leaves as it is
+ODD_IDS = ["caf\u00e9", "\U0001d518", "\U0001f600 x", 'say "hi"', "back\\slash", "tab\tnl\n",
+           "nul\x00\x1f\x7f", "a/b", "\u2028\ufeff"]
+# state values of every scalar kind the encoder writes
+ODD_VALUES = [True, False, 0, -7, 2**70, -(2**70), -0.0, 1e-300, 1e16, 1.5,
+              np.float64(0.1), np.float64(-2.5e-8), "tag", "\u00e9t\u00e9"]
+
+
+def odd_trace(ids, values, steps=4):
+    """A trace over `ids` in regions and structures named by odd ids too,
+    holding `values` in its states and updates: steps of two events, of
+    none, and events with and without ``via``."""
+    inside, core, outside = ids[0] + "-in", ids[1] + "-core", ids[2] + "-out"
+    sides = {inside: "system", core: "system", outside: "environment"}
+    every = {f"k{j}": v for j, v in enumerate(values)}
+    states = [{k: v for j, (k, v) in enumerate(every.items()) if (i + j) % 3 == 0}
+              for i in range(len(ids))]
+    initial = make_snapshot(list(zip(ids, states)), {eid: outside for eid in ids}, sides)
+    declarations = [
+        StructureRelation(id=f"{ids[k]}:{role}", role=role, arity=1,
+                          tuples=frozenset((eid,) for eid in ids[k:]),
+                          scope=frozenset({inside, core}))
+        for k, role in enumerate(("input", "processing", "output"))
+    ]
+    via = [d.id for d in declarations]
+    a, b, c, d = ids[:4]
+    schedule = [
+        [TransferEvent.make(0, EXTERNAL_IN, {a, b}, outside, inside, via[0],
+                            {c: {"v": values[0]}})],
+        [],
+        [TransferEvent.make(2, INTERNAL, {a}, inside, core, via[1], {a: every}),
+         TransferEvent.make(2, EXTERNAL_IN, {c, d}, outside, inside, None,
+                            {b: {"w": values[-1], "x": values[len(values) // 2]}})],
+        [TransferEvent.make(3, EXTERNAL_OUT, {b, d}, inside, outside, via[2])],
+    ][:steps]
+    phases = [Phase(ids[-1], 0, len(schedule)), Phase(ids[0], len(schedule), len(schedule))]
+    return build_trace(initial, schedule, phases, declarations)
+
+
+def test_writer_matches_the_reference_writer(tmp_path):
+    bundle = make_scenario("off", SMALL, steps=1)
+    traces = reader_corpus() + [Trace(bundle.trace.initial, (), (), bundle.trace.declarations)]
+    traces += [odd_trace(ODD_IDS[k:] + ODD_IDS[:k], ODD_VALUES[k:] + ODD_VALUES[:k], steps)
+               for k in range(len(ODD_IDS)) for steps in (0, 4)]
+    for i, t in enumerate(traces):
+        text = trace_to_text(t)
+        assert text.encode() == reference_trace_text(t).encode(), i
+        path = tmp_path / f"{i}.trace"
+        path.write_text(text)
+        assert trace_to_text(read_trace(path)) == text, i
+    # a number that is not finite, in an initial state or in an update,
+    # named as the reference writer names it
+    t = odd_trace(ODD_IDS, ODD_VALUES)
+    for value in (float("inf"), float("-inf"), float("nan")):
+        states = {**t.initial.states, ODD_IDS[3]: {"v": value}}
+        event = TransferEvent.make(1, INTERNAL, {ODD_IDS[0]}, t.events[0][0].to_region,
+                                   t.events[2][0].to_region, None, {ODD_IDS[3]: {"v": value}})
+        for broken, message in (
+            (Trace(replace(t.initial, states=states), t.events), "an initial state holds"),
+            (Trace(t.initial, t.events[:1] + ((event,),)), "step 1: a state update holds"),
+        ):
+            for write in (trace_to_text, reference_trace_text):
+                with pytest.raises(ConstructionError) as exc:
+                    write(broken)
+                assert str(exc.value) == f"{message} a number that is not finite"
+
+
+def test_ids_that_are_not_strings_are_refused(tmp_path):
+    # the reader refuses such ids, so the writer writes no file that holds one
+    sides = {"env": "environment", "sys": "system"}
+    numbered = make_snapshot([(1, {}), (2, {})], {1: "env", 2: "sys"}, sides)
+    mixed = make_snapshot([("b", {}), (1, {})], {"b": "env", 1: "sys"}, sides)
+    region = make_snapshot([("a", {})], {"a": 5}, {5: "system", "env": "environment"})
+    lettered = make_snapshot([("a", {}), ("b", {})], {"a": "env", "b": "env"}, sides)
+    numbered_via = StructureRelation(id=7, role="input", arity=1, tuples=frozenset({("a",)}),
+                                     scope=frozenset({"sys"}))
+    arrival = TransferEvent.make(1, EXTERNAL_IN, {"a"}, "env", "sys", 7)
+    for t, message in (
+        (build_trace(numbered, []), "id 1 is not a string"),
+        (build_trace(mixed, [[]]), "id 1 is not a string"),
+        (build_trace(region, []), "id 5 is not a string"),
+        (build_trace(lettered, [[], [arrival]], declarations=[numbered_via]),
+         "step 1: id 7 is not a string"),
+        # events built without validation: a mover, a kind, a region
+        (Trace(lettered, ((TransferEvent.make(0, EXTERNAL_IN, {1, "a"}, "env", "sys"),),)),
+         "step 0: id 1 is not a string"),
+        (Trace(lettered, ((), (TransferEvent.make(1, 3, {"a"}, "env", "sys"),))),
+         "step 1: id 3 is not a string"),
+        (Trace(lettered, ((TransferEvent.make(0, EXTERNAL_IN, {"a"}, "env", 4),),)),
+         "step 0: id 4 is not a string"),
+    ):
+        path = tmp_path / "ids.trace"
+        with pytest.raises(ConstructionError, match=f"^{message}$"):
+            write_trace(t, path)
+        assert not path.exists()
 
 
 ARRIVAL = {"from": "sea", "kind": "external_in", "moved": ["stim_0"], "to": "receptors",
