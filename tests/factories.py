@@ -7,9 +7,12 @@ on that, so the factory is the place where it is enforced. `out_and_back`
 and `steady_trace` stage carriers that blink or stay put, for the functor
 and mimicry checks. `eager_snapshots`, `conservation_scan` and
 `snapshot_functor` are the oracles for the trace replay, for
-`verify_conservation` and for `functor_from_trace`; `reference_trace_text`
-is the oracle for `trace_to_text`: the writer that builds a dict per line
-and encodes it with the sorting encoder.
+`verify_conservation` and for `functor_from_trace`; `intersection_table`,
+`table_pullback` and `check_every_arrow` build arrow tables as dicts and
+are the oracles for a functor's table view, for a mimicry functor's
+pullback and for mimicry's survival check; `reference_trace_text` is the
+oracle for `trace_to_text`: the writer that builds a dict per line and
+encodes it with the sorting encoder.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from mindsets import (
     EXTERNAL_OUT,
     INTERNAL,
     ConservationViolation,
+    IntelligenceMorphism,
     IntelligenceObject,
+    MimicryError,
     Phase,
     Snapshot,
     StructureRelation,
@@ -272,6 +277,52 @@ def snapshot_functor(t: Trace) -> TimeFunctor:
         )
         runs.append(later)
     return TimeFunctor(n=t.n_steps, objects=objects, run_ends=tuple(reversed(runs)))
+
+
+def intersection_table(objects):
+    """Arrow (i, j) as the identity on the tuples of every carrier from i to j,
+    built by intersecting the carriers: the table a trace functor's run ends
+    must reproduce."""
+    table = {}
+    for i, a in enumerate(objects):
+        kept = a.carriers()
+        for j in range(i, len(objects)):
+            b = objects[j]
+            kept = tuple(x & y for x, y in zip(kept, b.carriers()))
+            table[(i, j)] = IntelligenceMorphism(a, b, *({x: x for x in c} for c in kept))
+    return table
+
+
+def table_pullback(o, table):
+    """Arrow (i, j) over the steps of object map `o` as `table`'s arrow
+    (o(i), o(j)): the table of a mimicry functor's pullback."""
+    return {(i, j): table[(o[i], o[j])] for i in range(len(o)) for j in range(i, len(o))}
+
+
+def check_every_arrow(src_table, tgt_table, count, components) -> None:
+    """The oracle for mimicry's survival check: raise on the first source
+    arrow among `count` steps, in sorted order, that is missing, maps to a
+    target arrow the pulled-back table lacks, or has a square that fails."""
+    for i, j in ((i, j) for i in range(count) for j in range(i, count)):
+        if (i, j) not in src_table:
+            raise MimicryError("source category lacks an arrow", counterexample=(i, j))
+        if (i, j) not in tgt_table:
+            raise MimicryError("target category lacks the mapped arrow", counterexample=(i, j))
+        src_m, tgt_m = src_table[(i, j)], tgt_table[(i, j)]
+        for role in FUNCTOR_ROLES:
+            comp = components[role]
+            tgt_map = tgt_m.component(role)
+            for x, y in sorted(src_m.component(role).items()):
+                if comp[x] not in tgt_map:
+                    raise MimicryError(
+                        f"{role} image does not survive in the target",
+                        counterexample=(i, j, role, x),
+                    )
+                if tgt_map[comp[x]] != comp[y]:
+                    raise MimicryError(
+                        f"{role} square does not commute",
+                        counterexample=(i, j, role, x),
+                    )
 
 
 # compact sorted JSON, in which a number that is not finite raises ValueError;

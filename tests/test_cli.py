@@ -305,13 +305,15 @@ def test_functor_check_passes_on_generated_traces(small_traces, capsys):
 
 
 def test_functor_check_prints_each_law_failure(tmp_path, capsys, monkeypatch):
-    # a table whose span (0, 2) forgets its input pairs: no trace file gives one
+    # run ends whose ("b",) at step 0 runs to step 1 only, though it stays to
+    # the end, so arrow (0, 1) keeps it and (0, 2) forgets it: no trace file
+    # gives these
     build = cli.functor_from_trace
 
     def corrupted(t):
         f = build(t)
-        table = {**f.table(), (0, 2): replace(f.morphism(0, 2), input_map={})}
-        return type(f)(n=f.n, objects=f.objects, morphism_table=table)
+        first = (({**f.run_ends[0][0], ("b",): 1}, *f.run_ends[0][1:]),)
+        return replace(f, run_ends=first + f.run_ends[1:])
 
     monkeypatch.setattr(cli, "functor_from_trace", corrupted)
     path = tmp_path / "blink.trace"
@@ -326,7 +328,7 @@ def test_functor_check_prints_each_law_failure(tmp_path, capsys, monkeypatch):
         "| law | at | detail |\n"
         "| --- | --- | --- |\n"
         "| composition | (0, 1, 2) | composite of the two legs differs from the table entry |\n"
-        "| composition | (0, 2, 3) | composite of the two legs differs from the table entry |\n"
+        "| composition | (0, 1, 3) | composite of the two legs differs from the table entry |\n"
     ), "")
 
 
