@@ -384,23 +384,6 @@ def _record(cls, fields_in_order: dict):
     return record
 
 
-def _report(
-    window: tuple[int, int],
-    witnesses: list[Witness],
-    has: dict[str, bool],
-    roles: tuple[str, ...],
-) -> IntelligenceReport:
-    return IntelligenceReport(
-        window=window,
-        witnesses=tuple(witnesses),
-        has_input=has["input"],
-        has_processing=has["processing"],
-        has_output=has["output"],
-        verdict=has["input"] and has["processing"] and has["output"],
-        attribution=roles,
-    )
-
-
 def classify(t: Trace, window: tuple[int, int]) -> IntelligenceReport:
     """Aggregate witnesses over the window and render the verdict."""
     start, stop = check_window(t, window)
@@ -503,8 +486,18 @@ def brute_force_classify(t: Trace, window: tuple[int, int]) -> IntelligenceRepor
             )
 
     roles_by_id = {d.id: d.role for d in t.declarations}
-    roles = tuple(_role(roles_by_id, t.events[i]) for i in range(start, stop))
-    return _report((start, stop), witnesses, has, roles)
+    return _record(
+        IntelligenceReport,
+        {
+            "window": (start, stop),
+            "witnesses": tuple(witnesses),
+            "has_input": has["input"],
+            "has_processing": has["processing"],
+            "has_output": has["output"],
+            "verdict": has["input"] and has["processing"] and has["output"],
+            "attribution": tuple(_role(roles_by_id, t.events[i]) for i in range(start, stop)),
+        },
+    )
 
 
 def activity(t: Trace, window: tuple[int, int], mode: str = "step") -> ActivityScore:

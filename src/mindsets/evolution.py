@@ -6,9 +6,10 @@ element roster never changes) and may update element states in the same step,
 which is how learning rides on internal events without any membership change.
 A ``Trace`` is the full history: its initial snapshot plus the per-step
 events, phase labels, and structure declarations, with ``Trace.snapshots``
-replaying the later snapshots from the events on demand. ``build_trace``
-validates each step against one running state updated in place.
-``apply_step`` is the eager form of one step, kept as the oracle.
+replaying the later snapshots from the events on demand. ``build_trace`` is
+the one place the step rules are applied, to generated schedules and read
+files alike: it validates each step against one running membership updated
+in place. ``apply_step`` is the eager form of one step, kept as the oracle.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def _pack(
     updates: dict[ElementId, State]
 ) -> tuple[tuple[ElementId, tuple[tuple[str, int | float | str], ...]], ...]:
     """State updates in their stored form: by element, each state's names sorted."""
-    return tuple((eid, tuple(sorted(attrs.items()))) for eid, attrs in sorted(updates.items()))
+    return tuple([(eid, tuple(sorted(attrs.items()))) for eid, attrs in sorted(updates.items())])
 
 
 _new = object.__new__
@@ -178,83 +179,50 @@ def _check_event(
             raise StepError(step, "a state update holds a number that is not finite")
 
 
-def _check_movers(step: int, membership: dict[ElementId, RegionId], ev: TransferEvent) -> None:
-    """Every mover must sit in the event's `from` region; the error names the
-    sorted-first element that does not, whatever the set's iteration order."""
-    for eid in ev.moved:
-        if eid not in membership or membership[eid] != ev.from_region:
-            eid = min(e for e in ev.moved if membership.get(e) != ev.from_region)
-            if eid not in membership:
-                raise StepError(step, f"unknown element {eid!r}")
-            raise StepError(
-                step,
-                f"element {eid!r} is in {membership[eid]!r}, not {ev.from_region!r}",
-            )
-
-
-def _double_move(step: int, events: Sequence[TransferEvent]) -> StepError:
-    """The error for the first event that moves an element an earlier event
-    of the step moved, naming the sorted-first such element. Called only
-    once such an event is known to exist."""
-    moved_by: dict[ElementId, TransferEvent] = {}
-    for ev in events:
-        clash = moved_by.keys() & ev.moved
-        if clash:
-            eid = min(clash)
-            if {ev.kind, moved_by[eid].kind} == {EXTERNAL_IN, EXTERNAL_OUT}:
-                return StepError(step, f"boundary double-move of element {eid!r}")
-            return StepError(step, f"element {eid!r} moved by two events")
-        moved_by.update(dict.fromkeys(ev.moved, ev))
-
-
 def _check_step(
     step: int,
     membership: dict[ElementId, RegionId],
     region_side: dict[RegionId, str],
     events: Sequence[TransferEvent],
 ) -> None:
-    """The validation half of a step: raise the first StepError its events earn.
+    """Raise the first StepError a step's events earn, if any.
 
-    An element may be moved by at most one event per step, which rules out in
-    particular any element crossing the system boundary in both directions
-    within the same interval. State updates must not conflict either. Costs
-    O(moved elements + updates). Each event and each mover is tested by one
-    guard that holds exactly when `_check_event` or `_check_movers` would
-    raise; those run only to name the failure.
+    Event by event: its own fields (`_check_event`), then whether it moves an
+    element an earlier event of the step moved, naming the sorted-first such
+    element, then whether it updates an element already updated. An element
+    may be moved by at most one event per step, which rules out in particular
+    any element crossing the system boundary in both directions within the
+    same interval. The movers' membership is tested only once every event
+    passed, so that an in-and-out pair for one element reads as the boundary
+    conflict it is. `apply_step` runs it on every step; `build_trace` only to
+    name the fault of a step its guard refuses.
     """
-    moved_by: dict[ElementId, TransferEvent] = {}
+    moved_by: dict[ElementId, str] = {}  # the kind of the event that moved it
     updated: set[ElementId] = set()
     for ev in events:
-        try:
-            sides = _SIDES.get(ev.kind)
-        except TypeError:  # an unhashable kind is unknown too
-            sides = None
-        if (
-            ev.step != step
-            or sides is None
-            or not ev.moved
-            or ev.from_region == ev.to_region
-            or (region_side.get(ev.from_region), region_side.get(ev.to_region)) != sides
-        ):
-            _check_event(step, membership, region_side, ev)
-        for eid, attrs in ev.state_updates:
-            if eid not in membership or not _finite(attrs):
-                _check_event(step, membership, region_side, ev)
-        for eid in ev.moved:
-            if eid in moved_by:
-                raise _double_move(step, events)
-            moved_by[eid] = ev
+        _check_event(step, membership, region_side, ev)
+        clash = moved_by.keys() & ev.moved
+        if clash:
+            eid = min(clash)
+            if {ev.kind, moved_by[eid]} == {EXTERNAL_IN, EXTERNAL_OUT}:
+                raise StepError(step, f"boundary double-move of element {eid!r}")
+            raise StepError(step, f"element {eid!r} moved by two events")
+        moved_by.update(dict.fromkeys(ev.moved, ev.kind))
         for eid, _ in ev.state_updates:
             if eid in updated:
                 raise StepError(step, f"conflicting state updates for {eid!r}")
             updated.add(eid)
-    # double-naming is reported before membership so that an in-and-out pair
-    # for one element reads as the boundary conflict it is
     for ev in events:
-        source = ev.from_region
-        for eid in ev.moved:
-            if membership.get(eid) != source:
-                _check_movers(step, membership, ev)
+        # the sorted-first offender, whatever the set's iteration order
+        stray = [eid for eid in ev.moved if membership.get(eid) != ev.from_region]
+        if stray:
+            eid = min(stray)
+            if eid not in membership:
+                raise StepError(step, f"unknown element {eid!r}")
+            raise StepError(
+                step,
+                f"element {eid!r} is in {membership[eid]!r}, not {ev.from_region!r}",
+            )
 
 
 def _advance(
@@ -433,39 +401,52 @@ class Trace:
         raise KeyError(label)
 
 
-def _check_declarations(
-    initial: Snapshot, declarations: Sequence[StructureRelation]
-) -> set[str]:
-    """The declaration half of `build_trace`'s header checks: every declaration
-    scopes known regions and names known elements, and no two share an id.
-    Returns the declared ids."""
-    roster = set(initial.membership)
-    for decl in declarations:
-        # the sorted-first offender, so the message does not depend on hashing
-        regions = [region for region in decl.scope if region not in initial.region_side]
-        if regions:
-            raise ConstructionError(
-                f"declaration {decl.id!r} scopes unknown region {min(regions)!r}"
-            )
-        tuples = [tup for tup in decl.tuples if not roster.issuperset(tup)]
-        if tuples:
-            eid = next(eid for eid in min(tuples) if eid not in roster)
-            raise ConstructionError(f"declaration {decl.id!r} names unknown element {eid!r}")
-    decl_ids = [d.id for d in declarations]
-    known = set(decl_ids)
-    if len(known) != len(decl_ids):
-        raise ConstructionError("duplicate declaration ids")
-    return known
+def _updates_hold(
+    updates: Sequence[tuple[ElementId, Sequence]], roster: dict[ElementId, RegionId]
+) -> bool:
+    """Whether an event's state updates name roster elements, each once, and
+    hold finite numbers only."""
+    for eid, attrs in updates:
+        if eid not in roster or not _finite(attrs):
+            return False
+    return len(updates) < 2 or len(dict(updates)) == len(updates)
 
 
-def _check_phases(phases: Sequence[Phase], n: int) -> None:
-    """The phase half of `build_trace`'s header checks: every phase lies
-    within the n steps."""
-    for ph in phases:
-        if not (0 <= ph.start <= ph.stop <= n):
-            raise ConstructionError(
-                f"phase {ph.label!r} interval [{ph.start}, {ph.stop}) outside 0..{n}"
+def _overlap(events: Sequence[TransferEvent]) -> bool:
+    """Whether a step's events move one element twice or update one twice."""
+    moved: set[ElementId] = set()
+    updated: set[ElementId] = set()
+    for ev in events:
+        if not moved.isdisjoint(ev.moved):
+            return True
+        moved.update(ev.moved)
+        for eid, _ in ev.state_updates:
+            if eid in updated:
+                return True
+            updated.add(eid)
+    return False
+
+
+def _refuse(
+    initial: Snapshot,
+    events: tuple[tuple[TransferEvent, ...], ...],
+    step: int,
+    known: set[str],
+) -> None:
+    """Raise the fault of a step that `build_trace`'s guard refused: an
+    undeclared structure on any of its events, else `_check_step`'s, against
+    the membership the earlier steps leave."""
+    membership = dict(initial.membership)
+    for earlier in events[:step]:
+        for ev in earlier:
+            for eid in ev.moved:
+                membership[eid] = ev.to_region
+    for ev in events[step]:
+        if ev.via_structure is not None and ev.via_structure not in known:
+            raise StepError(
+                ev.step, f"event attributed to undeclared structure {ev.via_structure!r}"
             )
+    _check_step(step, membership, initial.region_side, events[step])
 
 
 def build_trace(
@@ -476,30 +457,73 @@ def build_trace(
 ) -> Trace:
     """Run a schedule forward from the initial snapshot, validating every step.
 
-    The declarations are checked first (`_check_declarations`), then each
-    step against one running membership, after which its moves are applied
-    to it in place, so a step costs O(moved elements + updates); the phases
-    are checked last (`_check_phases`). The trace keeps the initial snapshot
-    and the events only, so the states are not replayed here: validation
-    reads no state, only the roster. `read_trace` validates a file's steps
-    its own way as it reads them, with the same two header checks.
+    The declarations are checked first: each scopes known regions and names
+    known elements, and no two share an id. Then each step is checked against
+    one running membership, after which its moves are applied to it in place,
+    and the phases last, each within the steps. So of two faults the earlier
+    kind is named, and the first faulty step. A step costs one guard per event
+    and per mover, plus, for a step of several events, one test that no
+    element is moved or updated twice; `_refuse` runs only to name the fault
+    of a step the guard refuses, so messages and their order are
+    `_check_step`'s. The trace keeps the initial snapshot and the events
+    only, so the states are not replayed here: validation reads no state,
+    only the roster. Generated schedules and read files both come here.
     """
     if initial.step != 0:
         raise ConstructionError("initial snapshot must be at step 0")
-    known = _check_declarations(initial, declarations)
-    events = tuple(tuple(evs) for evs in schedule)
-    membership = dict(initial.membership)
+    roster, region_side = initial.membership, initial.region_side
+    elements = set(roster)
+    for decl in declarations:
+        # the sorted-first offender, so the message does not depend on hashing
+        regions = [region for region in decl.scope if region not in region_side]
+        if regions:
+            raise ConstructionError(
+                f"declaration {decl.id!r} scopes unknown region {min(regions)!r}"
+            )
+        tuples = [tup for tup in decl.tuples if not elements.issuperset(tup)]
+        if tuples:
+            eid = next(eid for eid in min(tuples) if eid not in roster)
+            raise ConstructionError(f"declaration {decl.id!r} names unknown element {eid!r}")
+    known = {d.id for d in declarations}
+    if len(known) != len(declarations):
+        raise ConstructionError("duplicate declaration ids")
+    events = tuple(map(tuple, schedule))
+    membership = dict(roster)
+    side, place = region_side.get, membership.get
+    routes: set[tuple] = set()  # the (kind, from, to, via) of events that passed
     for step, step_events in enumerate(events):
-        for ev in step_events:
-            if ev.via_structure is not None and ev.via_structure not in known:
-                raise StepError(
-                    ev.step, f"event attributed to undeclared structure {ev.via_structure!r}"
-                )
-        _check_step(step, membership, initial.region_side, step_events)
-        for ev in step_events:
-            for eid in ev.moved:
-                membership[eid] = ev.to_region
-    _check_phases(phases, len(events))
+        try:
+            if len(step_events) > 1 and _overlap(step_events):
+                _refuse(initial, events, step, known)
+            for ev in step_events:
+                src, to, via, moved = ev.from_region, ev.to_region, ev.via_structure, ev.moved
+                route = (ev.kind, src, to, via)
+                if route not in routes:
+                    if (
+                        (side(src), side(to)) != _SIDES.get(ev.kind)
+                        or src == to
+                        or via is not None and via not in known
+                    ):
+                        _refuse(initial, events, step, known)
+                    routes.add(route)
+                if (
+                    ev.step != step
+                    or not moved
+                    or ev.state_updates and not _updates_hold(ev.state_updates, roster)
+                ):
+                    _refuse(initial, events, step, known)
+                for eid in moved:
+                    if place(eid) != src:
+                        _refuse(initial, events, step, known)
+                    membership[eid] = to
+        except TypeError:  # an unhashable kind is unknown too
+            _refuse(initial, events, step, known)
+    n = len(events)
+    for ph in phases:
+        if not (0 <= ph.start <= ph.stop <= n):
+            raise ConstructionError(
+                f"phase {ph.label!r} interval [{ph.start}, {ph.stop}) outside 0..{n}"
+            )
     return Trace(
         initial=initial,
         events=events,

@@ -12,7 +12,9 @@ and mimicry checks. `eager_snapshots`, `conservation_scan` and
 are the oracles for a functor's table view, for a mimicry functor's
 pullback and for mimicry's survival check; `reference_trace_text` is the
 oracle for `trace_to_text`: the writer that builds a dict per line and
-encodes it with the sorting encoder.
+encodes it with the sorting encoder; `read_ordered` is the oracle for
+`read_trace`: every step line's fields checked in a fixed order by
+`_step`, never by the reader's decode of the written form.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ from mindsets import (
     make_snapshot,
 )
 from mindsets.categories import FUNCTOR_ROLES
-from mindsets.io import FORMAT_NAME, FORMAT_VERSION
+from mindsets.evolution import StepError
+from mindsets.io import FORMAT_NAME, FORMAT_VERSION, TraceFormatError, _header, _read_text, _step
 from mindsets.universe import ConstructionError
 
 SYSTEM_REGIONS = ("s0", "s1", "s2")
@@ -420,3 +423,26 @@ def scenario_patterns(cfg):
     learn_labels = [t % cfg.class_count for t in range(cfg.trials)]
     test_labels = [u % cfg.class_count for u in range(cfg.test_count)]
     return draw(learn_labels), learn_labels, draw(test_labels), test_labels
+
+
+def read_ordered(path) -> Trace:
+    """The oracle for `read_trace`: the header, then `_step` on every step
+    line, then `build_trace`, with faults named as `read_trace` names them."""
+    lines = _read_text(path, TraceFormatError).splitlines()
+    if not lines:
+        raise TraceFormatError("empty trace file")
+    line_no = 1
+    try:
+        initial, declarations, phases = _header(lines[0])
+        schedule = []
+        for line_no, line in enumerate(lines[1:], start=2):
+            schedule.append(_step(line, line_no - 2))
+        line_no = 1
+        return build_trace(initial, schedule, phases, declarations)
+    except StepError:
+        raise
+    except KeyError as exc:
+        part = "header" if line_no == 1 else "event"
+        raise TraceFormatError(f"line {line_no}: malformed {part} (missing {exc})") from None
+    except ConstructionError as exc:
+        raise TraceFormatError(f"line {line_no}: {exc}") from None

@@ -513,8 +513,9 @@ def test_long_trace_round_trips(stamp, tmp_path):
 
 
 def test_round_trip_at_the_largest_scale(stamp, tmp_path):
-    # each step line is decoded and checked in one pass, and the collector
-    # is paused while the events pile up; generation is left out of the timing
+    # each step line is decoded once and its events validated by one
+    # build_trace, and the collector is paused while the events pile up;
+    # generation is left out of the timing
     t = generate("sandpile", trials=20000, test_count=0).trace
     first, second = tmp_path / "first.trace", tmp_path / "second.trace"
     started = time.perf_counter()
@@ -684,3 +685,49 @@ def test_window_answers_match_an_independent_reference(stamp):
                 )
     stamp("window-answers", partial and wrong == 0, time.perf_counter() - started, 6,
           f"{jobs} window jobs on hebbian trials=600 and sandpile trials=1000, {wrong} wrong")
+
+
+# per-scenario configs of about 10^4 steps, for the window-split law
+SPLIT = {
+    "hebbian": dict(trials=2000, test_count=500),   # 3 * 2500 = 7500
+    "backprop": dict(trials=1600, test_count=400),  # 5 * 1600 + 3 * 400 = 9200
+    "aplysia": dict(trials=2500, test_count=500),   # 3 * 3000 = 9000
+    "sandpile": dict(trials=3400, test_count=0),    # 3 * 3400 = 10200
+}
+
+
+def test_windows_split_into_their_halves(stamp):
+    # for a < b < c, classify over (a, c) is (a, b) followed by (b, c): the
+    # witnesses and roles concatenated, each condition held when either half
+    # holds it, and activity's boundary counts added. Each query reads its
+    # own fresh copy of the trace, so no facts table answers two of them
+    started = time.perf_counter()
+    rng = random.Random(12)
+    splits = wrong = 0
+    for name in SCENARIOS:
+        t = (
+            generate("off", steps=10_000) if name == "off" else generate(name, **SPLIT[name])
+        ).trace
+        assert t.n_steps >= 7500
+        for _ in range(20):
+            a, b, c = sorted(rng.sample(range(t.n_steps + 1), 3))
+            windows = ((a, c), (a, b), (b, c))
+            whole, left, right = (classify(dataclasses.replace(t), w) for w in windows)
+            counts = []  # active steps and elements moved across, per window
+            for start, stop in windows:
+                score = activity(dataclasses.replace(t), (start, stop), mode="element")
+                length = stop - start
+                counts.append(
+                    (round(score.step_activity * length), round(score.element_rate * length))
+                )
+            splits += 1
+            wrong += (
+                whole.witnesses != left.witnesses + right.witnesses
+                or whole.attribution != left.attribution + right.attribution
+                or whole.has_input != (left.has_input or right.has_input)
+                or whole.has_processing != (left.has_processing or right.has_processing)
+                or whole.has_output != (left.has_output or right.has_output)
+                or counts[0] != tuple(map(sum, zip(counts[1], counts[2])))
+            )
+    stamp("window-split", splits == 100 and wrong == 0, time.perf_counter() - started, 8,
+          f"{splits} splits a < b < c of traces of 7500-10200 steps, {wrong} not the sum of halves")

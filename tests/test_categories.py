@@ -711,6 +711,9 @@ def test_functors_from_the_events_equal_the_snapshot_build():
     ]
     cfg = ScenarioConfig(seed=2, trials=14, test_count=6)
     traces += [make_scenario(name, cfg, steps=40).trace for name in SCENARIO_NAMES]
+    # about 10^4 steps in which grains leave the declared scope and come back
+    long_sandpile = make_scenario("sandpile", ScenarioConfig(seed=2, trials=3334, test_count=0))
+    traces.append(long_sandpile.trace)
     blink = out_and_back("a", "b", trips=5, extra_steps=3)
     # step 11 moves nothing else, so only the ghost's own index re-tests
     # ("a", "ghost") there
@@ -720,6 +723,15 @@ def test_functors_from_the_events_equal_the_snapshot_build():
         f, oracle = functor_from_trace(t), snapshot_functor(t)
         assert f == oracle and f.objects == oracle.objects and f.run_ends == oracle.run_ends
         turnover += len({obj.carriers() for obj in f.objects}) > 1
+        if t is long_sandpile.trace:
+            assert t.n_steps >= 10000
+            seen, gone, back = set(), set(), set()
+            for obj in f.objects:
+                present = {(role, x) for role, c in enumerate(obj.carriers()) for x in c}
+                back |= gone & present
+                gone |= seen - present
+                seen |= present
+            assert len(seen) >= 10 and back == seen  # every carrier tuple leaves and comes back
     assert turnover >= 10
     # the ghost's tuples stay out of every carrier until the ghost is moved in
     ghost_carriers = [functor_from_trace(t).objects[-1].carriers() for t in traces[-2:]]

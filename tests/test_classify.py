@@ -217,11 +217,14 @@ def test_the_private_constructor_gives_the_public_witness():
 
 
 def test_reports_and_scores_are_the_public_records():
-    # classify and activity store each record's fields as its instance dict;
-    # the result must be the record the public constructor builds
+    # classify, the brute-force oracle and activity store each record's
+    # fields as its instance dict; the result must be the record the public
+    # constructor builds
     t = make_scenario("aplysia", ScenarioConfig(trials=3, test_count=2)).trace
     report, score = classify(t, (2, 9)), activity(t, (2, 9), mode="element")
-    for fast, cls in ((report, IntelligenceReport), (score, ActivityScore)):
+    oracle = brute_force_classify(random_trace(random.Random(4), min_steps=6), (0, 6))
+    records = ((report, IntelligenceReport), (oracle, IntelligenceReport), (score, ActivityScore))
+    for fast, cls in records:
         names = [f.name for f in dataclasses.fields(cls)]
         public = cls(**{name: getattr(fast, name) for name in names})
         assert type(fast) is cls and list(vars(fast)) == names
@@ -230,7 +233,9 @@ def test_reports_and_scores_are_the_public_records():
         assert dataclasses.replace(fast) == fast and dataclasses.asdict(fast) == dataclasses.asdict(public)
         with pytest.raises(dataclasses.FrozenInstanceError):
             fast.window = (0, 1)
-    assert report.verdict == (report.has_input and report.has_processing and report.has_output)
+    for r in (report, oracle):
+        assert r.verdict == (r.has_input and r.has_processing and r.has_output)
+    assert oracle.witnesses and oracle.attribution
 
 
 def test_witness_helpers_validate_the_step():

@@ -33,6 +33,8 @@ from mindsets import (
 )
 
 from factories import (
+    ENV_REGIONS,
+    SYSTEM_REGIONS,
     conservation_scan,
     eager_snapshots as _eager_snapshots,
     random_trace,
@@ -264,6 +266,89 @@ def test_the_first_of_two_faults_is_the_one_named(events, message):
     with pytest.raises(StepError) as caught:
         build_trace(THREE_REGIONS, [events])
     assert str(caught.value) == f"step 0: {message}"
+
+
+def mutant_schedule(rng, t):
+    """The schedule of `t` with one event changed in one field, doubled,
+    copied from another step, or joined by one that updates what it updates,
+    at a random step."""
+    schedule = [list(events) for events in t.events]
+    step = rng.randrange(len(schedule))
+    events = schedule[step]
+    if not events:
+        events.append(TransferEvent.make(step, INTERNAL, {"e0"}, "s0", "s1"))
+    at = rng.randrange(len(events))
+    target = events[at]
+    elements = [*t.initial.membership, "ghost"]
+    regions = [*SYSTEM_REGIONS, *ENV_REGIONS, "nowhere"]
+    change = rng.choice(
+        ("kind", "from_region", "to_region", "moved", "step", "state_updates", "via_structure",
+         "double", "copy", "update twice")
+    )
+    if change == "double":
+        events.append(target)
+    elif change == "update twice":
+        events[at] = replace(target, state_updates=(("e0", (("v", 1),)),))
+        events.append(TransferEvent.make(step, INTERNAL, {"e1"}, "s1", "s2", None, {"e0": {"v": 2}}))
+    elif change == "copy":
+        other = rng.choice([ev for evs in t.events for ev in evs] or [target])
+        events.append(replace(other, step=step))
+    else:
+        value = {
+            "kind": lambda: rng.choice((EXTERNAL_IN, EXTERNAL_OUT, INTERNAL, "teleport")),
+            "from_region": lambda: rng.choice(regions),
+            "to_region": lambda: rng.choice(regions),
+            "moved": lambda: frozenset(rng.sample(elements, rng.randint(0, 3))),
+            "step": lambda: step + rng.choice((0, 1)),
+            # one element updated once, or twice by the one event
+            "state_updates": lambda: (
+                (rng.choice(elements), (("v", rng.choice((1, math.inf))),)),
+            ) * rng.randint(1, 2),
+            "via_structure": lambda: rng.choice(
+                (None, "ghost_structure", *(d.id for d in t.declarations))
+            ),
+        }[change]()
+        events[at] = replace(target, **{change: value})
+    return schedule
+
+
+def fold_outcome(t, schedule):
+    """The refusal `apply_step`, folded over the schedule after each step's
+    structure check, gives it, or None."""
+    known = {d.id for d in t.declarations}
+    s = t.initial
+    try:
+        for events in schedule:
+            for ev in events:
+                if ev.via_structure is not None and ev.via_structure not in known:
+                    raise StepError(
+                        ev.step, f"event attributed to undeclared structure {ev.via_structure!r}"
+                    )
+            s = apply_step(s, events)
+    except StepError as exc:
+        return str(exc)
+    return None
+
+
+def test_build_trace_refuses_what_the_apply_step_fold_refuses():
+    # build_trace's guard, against `_check_step` run on every step: the same
+    # steps accepted, and of a refused schedule the same fault named
+    refused = accepted = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        t = random_trace(rng, with_metadata=True, min_steps=3)
+        schedule = mutant_schedule(rng, t)
+        expected = fold_outcome(t, schedule)
+        try:
+            built = build_trace(t.initial, schedule, t.phases, t.declarations)
+        except StepError as exc:
+            assert str(exc) == expected, seed
+            refused += 1
+        else:
+            assert expected is None, seed
+            assert built.events == tuple(map(tuple, schedule))
+            accepted += 1
+    assert refused >= 200 and accepted >= 40
 
 
 def test_an_undeclared_structure_is_named_before_the_step_is_checked():

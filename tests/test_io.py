@@ -48,7 +48,13 @@ import mindsets.io as io_module
 import mindsets.universe as universe_module
 from mindsets.cli import main
 
-from factories import out_and_back, random_trace, reference_trace_text, steady_trace
+from factories import (
+    out_and_back,
+    random_trace,
+    read_ordered,
+    reference_trace_text,
+    steady_trace,
+)
 
 SMALL = ScenarioConfig(seed=1, trials=4, test_count=2)
 
@@ -323,14 +329,6 @@ def test_read_trace_replays_through_validation(tmp_path):
 SCENARIOS = ("hebbian", "backprop", "aplysia", "sandpile", "off")
 
 
-def read_ordered(path):
-    """The trace, or the refusal, that `read_trace`'s ordered path gives:
-    every line through `_step`, then `build_trace`."""
-    with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(io_module, "_read_steps", lambda *args: None)
-        return read_trace(path)
-
-
 def reader_corpus():
     """Every scenario at two sizes, random traces, and the small factory traces."""
     traces = [
@@ -350,31 +348,32 @@ def test_read_trace_equals_the_ordered_path(tmp_path):
         fast, ordered = read_trace(path), read_ordered(path)
         assert fast == ordered == t, i
         assert trace_to_text(fast).encode() == trace_to_text(ordered).encode() == path.read_bytes()
-    # padded lines and extra keys: the ordered path reads them, as it always has
+    # padded lines and extra keys: the decode of the written form doubts
+    # them, and `_step` reads them
     t = make_scenario("aplysia", SMALL).trace
     lines = trace_to_text(t).splitlines()
+    assert io_module._written_step(lines[1], 0) is not None
     for changed in (
-        [" " + lines[1] + "\t"],
-        [lines[1] + "  "],
-        [lines[1].replace('{"events":', '{"note":1,"events":', 1)],
-        [lines[1].replace('"from":', '"note":[],"from":', 1)],
+        " " + lines[1] + "\t",
+        lines[1] + "  ",
+        lines[1].replace('{"events":', '{"note":1,"events":', 1),
+        lines[1].replace('"from":', '"note":[],"from":', 1),
     ):
-        path = write_lines(tmp_path / "changed.trace", lines[:1] + changed + lines[2:])
-        initial, declarations, _ = io_module._header(lines[0])
-        assert io_module._read_steps(lines[:1] + changed, initial, declarations) is None
+        path = write_lines(tmp_path / "changed.trace", [lines[0], changed] + lines[2:])
+        assert io_module._written_step(changed, 0) is None
         assert read_trace(path) == read_ordered(path) == t
 
 
 def test_valid_scenario_files_are_read_in_one_pass(tmp_path, monkeypatch):
-    # a one-pass reader that always handed its files to the ordered path
-    # would still read them right; on valid files it must not
+    # a reader that doubted every line and read it by `_step` would still
+    # read valid files right; it must take each of their lines at once
     paths = []
     for i, t in enumerate(reader_corpus()):
         paths.append(tmp_path / f"{i}.trace")
         write_trace(t, paths[-1])
 
     def no_step(*args):
-        raise AssertionError("read a line by the ordered path")
+        raise AssertionError("read a line field by field")
 
     monkeypatch.setattr(io_module, "_step", no_step)
     for path in paths:
@@ -555,16 +554,20 @@ def arrival(**fields):
 
 
 # step-0 lines of the SMALL aplysia trace, each with one fault, and how it is
-# named: first faults whose values every lookup of the one-pass reader takes
+# named: first format faults, which the decode of the written form doubts
+# and `_step` names
 FORMAT_FAULTS = [
     (step_line(arrival()) + " x", r"^line 2: invalid JSON \(Extra data\)$"),
     (step_line(arrival(moved={"stim_0": 0})), "^line 2: moved is not a list$"),
+    (step_line(arrival(moved=["stim_0", 5])), "^line 2: moved entry is not a string$"),
+    (step_line(arrival(moved=["stim_0", "stim_0"])), "^line 2: moved lists 'stim_0' twice$"),
+    (step_line(arrival(to=["gill"])), "^line 2: to is not a string$"),
     (step_line(arrival(updates=[])), "^line 2: updates is not an object$"),
     (step_line(arrival(updates={"syn": []})), "^line 2: update of 'syn' is not an object$"),
     (step_line(arrival(updates={"syn": {"v": None}})), "^line 2: update of 'syn' value 'v' is"),
     (step_line(arrival(), step=True), "^line 2: step is not an integer$"),
 ]
-# then fields all of the right kind, each failing one check of the validation
+# then fields all of the right kind, each failing one check of `build_trace`
 STEP_FAULTS = [
     (step_line(arrival(via="ghost")), "step 0: event attributed to undeclared structure 'ghost'$"),
     (step_line(arrival(kind="sideways")), "step 0: unknown event kind 'sideways'$"),
@@ -592,17 +595,20 @@ STEP_FAULTS = [
 
 
 def test_each_fault_is_left_to_the_ordered_path(tmp_path):
+    # the decode of the written form doubts every format fault, which `_step`
+    # names, and decodes every line of fields of the right kind as `_step`
+    # does, leaving its step faults to `build_trace`
     t = make_scenario("aplysia", SMALL).trace
     lines = trace_to_text(t).splitlines()
     assert json.loads(lines[1])["events"] == [ARRIVAL]
-    initial, declarations, _ = io_module._header(lines[0])
-    # the unchanged event and a valid two-event step are read in one pass
-    for valid in (step_line(arrival()), step_line(arrival(), arrival(moved=["stim_1"]))):
-        assert io_module._read_steps([lines[0], valid], initial, declarations) is not None
+    valid = [step_line(arrival()), step_line(arrival(), arrival(moved=["stim_1"]))]
+    for line in valid + [line for line, _ in STEP_FAULTS]:
+        assert io_module._written_step(line, 0) == io_module._step(line, 0), line
+    for line, message in FORMAT_FAULTS:
+        assert io_module._written_step(line, 0) is None, message
     faults = [(line, TraceFormatError, message) for line, message in FORMAT_FAULTS]
     faults += [(line, StepError, message) for line, message in STEP_FAULTS]
     for line, error, message in faults:
-        assert io_module._read_steps([lines[0], line], initial, declarations) is None, message
         path = write_lines(tmp_path / "bad.trace", [lines[0], line])
         for read in (read_trace, read_ordered):
             with pytest.raises(error, match=message):

@@ -4,7 +4,7 @@ Each mutant changes one JSON value of a valid trace line or mapping, or one
 line of a config file, and goes through `cli.main`. No mutant may escape as
 an exception or exit with anything but 0, 1 or 3, and a refused trace must
 name its line or step exactly once. Trace mutants with one or two changed
-values must also read as the reader's ordered path reads them.
+values must also read as the ordered path, `_step` on every line, reads them.
 """
 
 import contextlib
@@ -17,7 +17,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import mindsets.io as io_module
 from mindsets import (
     ConstructionError,
     ScenarioConfig,
@@ -28,6 +27,8 @@ from mindsets import (
 )
 from mindsets.cli import main
 from mindsets.scenarios import SCENARIO_NAMES
+
+from factories import read_ordered
 
 # derandomized: the same mutants on every run, a few seconds in all
 FUZZ = settings(
@@ -115,10 +116,10 @@ def test_trace_mutants_exit_cleanly_and_name_their_line(files, data):
         assert len(re.findall(r"\b(?:line|step) \d+:", err)) == 1, err
 
 
-def outcome(path):
-    """The trace read from `path`, or the type and message of its refusal."""
+def outcome(read, path):
+    """The trace `read` reads from `path`, or the type and message of its refusal."""
     try:
-        return read_trace(path)
+        return read(path)
     except ConstructionError as exc:
         return type(exc), str(exc)
 
@@ -126,8 +127,9 @@ def outcome(path):
 @settings(FUZZ, max_examples=300)
 @given(data=st.data())
 def test_trace_mutants_read_as_the_ordered_path_reads_them(files, data):
-    # the one-pass reader either gives the ordered path's trace or leaves the
-    # file to it; with two faults, the same one is named
+    # the reader's decode of the written form gives the trace or refusal of
+    # the ordered path, `_step` on every line; with two faults, the same one
+    # is named
     lines = files["aplysia"].read_text().splitlines()
     values = JSON_VALUES | vocabulary(json.loads(lines[0]))
     for _ in range(data.draw(st.integers(1, 2), label="changes")):
@@ -135,10 +137,7 @@ def test_trace_mutants_read_as_the_ordered_path_reads_them(files, data):
         lines[at] = mutant(data.draw, json.loads(lines[at]), values)
     path = files["root"] / "mutant.trace"
     path.write_text("\n".join(lines) + "\n")
-    read = outcome(path)
-    with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(io_module, "_read_steps", lambda *args: None)
-        assert read == outcome(path)
+    assert outcome(read_trace, path) == outcome(read_ordered, path)
 
 
 @settings(FUZZ, max_examples=60)  # each run builds two functors
