@@ -2,10 +2,15 @@
 
 The trace file is line-oriented: one JSON header naming the roster, regions,
 declarations, and phases, then one JSON line per step carrying that step's
-events. Reading decodes each step line once, into its events: a line in the
-form the writer gives is taken by one check of its shape, and any other
-line has its fields checked in a fixed order, which names its first format
-fault. No step rule is stated here: the events then go once through the
+events. Reading decodes each distinct step line once, into its events. A
+line in the strict form the writer gives, ``{"events":[...],"step":N}`` with
+no other byte, is taken by one check of its events array's shape; a later
+line of the same body, all before ``,"step":``, and its own step N is not
+decoded again: its events are new records of its step over the first one's
+fields, so events of repeated lines share their immutable movers and
+updates, equal and identical. Any other line, spaced JSON too, has its
+fields checked in a fixed order, which names its first format fault. No
+step rule is stated here: the events then go once through the
 construction path used everywhere else, `build_trace`, so a broken file
 fails with the first offending line or step named. The cyclic collector is
 paused while a file is read, since nothing decoded forms a cycle. The field
@@ -238,7 +243,7 @@ _DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 _UNIQUE_KEY_DECODER = json.JSONDecoder(
     parse_constant=_refuse_constant, object_pairs_hook=_unique_keys
 )
-_raw_decode = _DECODER.raw_decode
+_scan_once = _DECODER.scan_once
 # the types of the scalars a state holds, as the decoder gives them
 _SCALARS = frozenset((int, float, str, bool))
 
@@ -299,12 +304,10 @@ def _header(line: str) -> tuple[Snapshot, list[StructureRelation], list[Phase]]:
     declarations = []
     for d in _list(header["declarations"], "declarations"):
         did = _text(_object(d, "declaration")["id"], "declaration id")
-        tuples, scope = f"tuples of {did!r}", f"scope of {did!r}"
+        tuples, scope, each = f"tuples of {did!r}", f"scope of {did!r}", f"tuple of {did!r}"
         declarations.append(StructureRelation(
             id=did, role=d["role"], arity=_integer(d["arity"], f"arity of {did!r}"),
-            tuples=_set(
-                [tuple(_texts(t, f"tuple of {did!r}")) for t in _list(d["tuples"], tuples)], tuples
-            ),
+            tuples=_set([tuple(_texts(t, each)) for t in _list(d["tuples"], tuples)], tuples),
             scope=_set(_texts(d["scope"], scope), scope),
             factors=tuple(_texts(d["factors"], f"factors of {did!r}")),
         ))
@@ -343,22 +346,34 @@ def _step(line: str, step: int) -> list[TransferEvent]:
     return events
 
 
-def _written_step(line: str, step: int) -> list[TransferEvent] | None:
+def _written_step(
+    line: str, step: int, seen: dict[str, list[TransferEvent]]
+) -> list[TransferEvent] | None:
     """The events of the line that must hold step `step`, if it is in the form
-    `trace_to_text` writes, else None. That form is one value with no
-    whitespace around it, the keys ``step`` and ``events`` and an event's six
-    only, each field of its kind, every id a string and each mover listed
-    once. Applies no step rule: `build_trace` validates what it returns."""
+    `trace_to_text` writes, else None. That form is ``{"events":[...],"step":N}``
+    exactly, with N the canonical `step`, an event's six keys only, each field
+    of its kind, every id a string and each mover listed once. The line is
+    split at its last ``,"step":``, which is the outer key, as a quote inside
+    a JSON string is escaped; the events array is then decoded alone, so no
+    outer object is built. `seen` maps each body (the line before that key)
+    already taken to its events: a line of the same body is decoded as that
+    one was, so it gets fresh events of its own step over the same field
+    objects. Applies no step rule: `build_trace` validates what it returns."""
+    body, _, tail = line.rpartition(',"step":')
+    if tail != f"{step}}}":
+        return None
+    known = seen.get(body)
+    if known is not None:
+        return [
+            _event(step, ev.kind, ev.moved, ev.from_region, ev.to_region, ev.via_structure,
+                   ev.state_updates)
+            for ev in known
+        ]
+    if not body.startswith('{"events":['):
+        return None
     try:
-        obj, end = _raw_decode(line)
-        number, events = obj["step"], obj["events"]
-        if (
-            end != len(line)
-            or len(obj) != 2
-            or type(number) is not int  # neither true nor 1.0, which equal 1
-            or number != step
-            or type(events) is not list
-        ):
+        events, end = _scan_once(line, 10)  # the array after '{"events":'
+        if end != len(body):
             return None
         decoded = []
         for e in events:
@@ -387,8 +402,9 @@ def _written_step(line: str, step: int) -> list[TransferEvent] | None:
                         return None
                 packed = _pack(updates)
             decoded.append(_event(step, kind, movers, src, dst, via, packed))
-    except (KeyError, TypeError, ValueError, RecursionError):
+    except (KeyError, TypeError, ValueError, RecursionError, StopIteration):
         return None
+    seen[body] = decoded
     return decoded
 
 
@@ -396,8 +412,11 @@ def read_trace(source: str | Path) -> Trace:
     """Parse and replay a trace file; failures name the line or step.
 
     After the header (`_header`), each step line is decoded once: by
-    `_written_step`, or, for a line it doubts, by `_step`, which names the
-    line's first format fault. Then `build_trace` validates the declarations,
+    `_written_step`, which takes a line in the strict written form and, from a
+    memo local to this call, a line whose body repeats one it took, or, for a
+    line it doubts, by `_step`, which names the line's first format fault.
+    Each line is let go once decoded, so the memo's bodies hold no more than
+    the lines they stand for. Then `build_trace` validates the declarations,
     the steps and the phases, in that order. So the first fault is named, with
     format faults on any line before the declaration checks, then the step
     faults, then the phase checks.
@@ -405,20 +424,23 @@ def read_trace(source: str | Path) -> Trace:
     lines = _read_text(source, TraceFormatError).splitlines()
     if not lines:
         raise TraceFormatError("empty trace file")
+    lines.reverse()  # popped from the end, so each line is let go once read
     line_no = 1
     # the cyclic collector would pass over every event read so far, again and
     # again as they pile up; nothing read here forms a cycle
     collecting = gc.isenabled()
     gc.disable()
     try:
-        initial, declarations, phases = _header(lines[0])
-        schedule = []
-        for step, line in enumerate(lines[1:]):
-            events = _written_step(line, step)
+        initial, declarations, phases = _header(lines.pop())
+        schedule, seen = [], {}
+        for step in range(len(lines)):
+            line = lines.pop()
+            events = _written_step(line, step, seen)
             if events is None:
                 line_no = step + 2
                 events = _step(line, step)
             schedule.append(events)
+        seen.clear()  # its bodies are let go before build_trace allocates
         # outside its steps, build_trace checks the header's declarations and phases
         line_no = 1
         return build_trace(initial, schedule, phases, declarations)

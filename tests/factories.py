@@ -14,7 +14,8 @@ pullback and for mimicry's survival check; `reference_trace_text` is the
 oracle for `trace_to_text`: the writer that builds a dict per line and
 encodes it with the sorting encoder; `read_ordered` is the oracle for
 `read_trace`: every step line's fields checked in a fixed order by
-`_step`, never by the reader's decode of the written form.
+`_step`, never by the reader's decode of the written form, and `outcome`
+gives a reader's trace or refusal, for comparing the two.
 """
 
 from __future__ import annotations
@@ -446,3 +447,11 @@ def read_ordered(path) -> Trace:
         raise TraceFormatError(f"line {line_no}: malformed {part} (missing {exc})") from None
     except ConstructionError as exc:
         raise TraceFormatError(f"line {line_no}: {exc}") from None
+
+
+def outcome(read, path):
+    """The trace `read` reads from `path`, or the type and message of its refusal."""
+    try:
+        return read(path)
+    except ConstructionError as exc:
+        return type(exc), str(exc)

@@ -50,6 +50,7 @@ from mindsets.cli import main
 
 from factories import (
     out_and_back,
+    outcome,
     random_trace,
     read_ordered,
     reference_trace_text,
@@ -348,20 +349,81 @@ def test_read_trace_equals_the_ordered_path(tmp_path):
         fast, ordered = read_trace(path), read_ordered(path)
         assert fast == ordered == t, i
         assert trace_to_text(fast).encode() == trace_to_text(ordered).encode() == path.read_bytes()
-    # padded lines and extra keys: the decode of the written form doubts
-    # them, and `_step` reads them
+    # padded or spaced lines and extra keys: the decode of the written form
+    # doubts them, and `_step` reads them
     t = make_scenario("aplysia", SMALL).trace
     lines = trace_to_text(t).splitlines()
-    assert io_module._written_step(lines[1], 0) is not None
+    assert io_module._written_step(lines[1], 0, {}) is not None
     for changed in (
         " " + lines[1] + "\t",
         lines[1] + "  ",
+        json.dumps(json.loads(lines[1]), sort_keys=True),
         lines[1].replace('{"events":', '{"note":1,"events":', 1),
+        lines[1].replace(',"step":', ',"note":1,"step":', 1),
+        lines[1].replace(',"step":', ' ,"step":', 1),
         lines[1].replace('"from":', '"note":[],"from":', 1),
     ):
         path = write_lines(tmp_path / "changed.trace", [lines[0], changed] + lines[2:])
-        assert io_module._written_step(changed, 0) is None
+        assert io_module._written_step(changed, 0, {}) is None
         assert read_trace(path) == read_ordered(path) == t
+
+
+def test_repeated_step_bodies_read_as_the_ordered_path_reads_them(tmp_path):
+    # a line whose body, all but its step, repeats an earlier line's is taken
+    # from the earlier decode only with its own step, written as the writer
+    # writes it; any other is read and named as `_step` names it
+    sandpile, aplysia = (make_scenario(name, SMALL).trace for name in ("sandpile", "aplysia"))
+    grains = trace_to_text(sandpile).splitlines()
+    bodies = [line.rpartition(',"step":')[0] for line in grains]
+    repeat = next(i for i in range(2, len(bodies)) if bodies[i] in bodies[1:i])
+    arrivals = trace_to_text(aplysia).splitlines()
+    for t, lines, at, body in (
+        (sandpile, grains, repeat, bodies[repeat]),
+        # at step 1, the body of step 0, whose mover has left `sea`
+        (aplysia, arrivals, 2, arrivals[1].rpartition(',"step":')[0]),
+    ):
+        step = at - 1
+        for tail, fault in (
+            (f"{step}}}", None),
+            (f"{step} }}", None),
+            (f"0{step}}}", "invalid JSON"),
+            (f"{step}.0}}", "step is not an integer"),
+            ("true}", "step is not an integer"),
+            (f"{step - 1}}}", f"expected step {step}"),
+        ):
+            changed = lines[:at] + [f'{body},"step":{tail}'] + lines[at + 1:]
+            path = write_lines(tmp_path / "repeat.trace", changed)
+            read = outcome(read_trace, path)
+            assert read == outcome(read_ordered, path), tail
+            if fault is not None:
+                assert read[1].startswith(f"line {at + 1}: {fault}"), (tail, read)
+            elif t is sandpile:
+                assert read == t, tail
+            else:
+                assert read == (StepError, "step 1: element 'stim_0' is in 'receptors', not 'sea'")
+
+
+def test_repeated_step_bodies_share_their_decoded_fields(tmp_path):
+    # events of lines of one body are equal but for their step, and hold the
+    # same immutable movers and updates
+    t = make_scenario("sandpile", ScenarioConfig(seed=1, trials=30, test_count=0)).trace
+    path = tmp_path / "sandpile.trace"
+    write_trace(t, path)
+    back = read_trace(path)
+    assert back == t
+    first: dict[str, int] = {}
+    shared = 0
+    for step, line in enumerate(path.read_text().splitlines()[1:]):
+        body = line.rpartition(',"step":')[0]
+        earlier = first.setdefault(body, step)
+        if earlier == step:
+            continue
+        for a, b in zip(back.events[earlier], back.events[step], strict=True):
+            assert a.moved is b.moved and a.state_updates is b.state_updates
+            assert a.kind is b.kind and a.from_region is b.from_region
+            assert replace(a, step=step) == b
+            shared += 1
+    assert shared > 0
 
 
 def test_valid_scenario_files_are_read_in_one_pass(tmp_path, monkeypatch):
@@ -545,7 +607,10 @@ ARRIVAL = {"from": "sea", "kind": "external_in", "moved": ["stim_0"], "to": "rec
 
 
 def step_line(*events, step=0):
-    return json.dumps({"events": list(events), "step": step}, sort_keys=True)
+    """A step line in the written form, compact with its keys sorted."""
+    return json.dumps(
+        {"events": list(events), "step": step}, sort_keys=True, separators=(",", ":")
+    )
 
 
 def arrival(**fields):
@@ -603,9 +668,9 @@ def test_each_fault_is_left_to_the_ordered_path(tmp_path):
     assert json.loads(lines[1])["events"] == [ARRIVAL]
     valid = [step_line(arrival()), step_line(arrival(), arrival(moved=["stim_1"]))]
     for line in valid + [line for line, _ in STEP_FAULTS]:
-        assert io_module._written_step(line, 0) == io_module._step(line, 0), line
+        assert io_module._written_step(line, 0, {}) == io_module._step(line, 0), line
     for line, message in FORMAT_FAULTS:
-        assert io_module._written_step(line, 0) is None, message
+        assert io_module._written_step(line, 0, {}) is None, message
     faults = [(line, TraceFormatError, message) for line, message in FORMAT_FAULTS]
     faults += [(line, StepError, message) for line, message in STEP_FAULTS]
     for line, error, message in faults:

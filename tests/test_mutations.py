@@ -18,7 +18,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mindsets import (
-    ConstructionError,
     ScenarioConfig,
     default_mimicry_mapping,
     make_scenario,
@@ -28,7 +27,7 @@ from mindsets import (
 from mindsets.cli import main
 from mindsets.scenarios import SCENARIO_NAMES
 
-from factories import read_ordered
+from factories import outcome, read_ordered
 
 # derandomized: the same mutants on every run, a few seconds in all
 FUZZ = settings(
@@ -69,9 +68,10 @@ def replaced(value, path, new):
 
 
 def mutant(draw, document, values=JSON_VALUES):
-    """`document` with one of its values replaced by one of `values`, as JSON text."""
+    """`document` with one of its values replaced by one of `values`, as
+    compact JSON text, the form a trace's step lines are written in."""
     path = draw(st.sampled_from(list(value_paths(document))))
-    return json.dumps(replaced(document, path, draw(values)))
+    return json.dumps(replaced(document, path, draw(values)), separators=(",", ":"))
 
 
 def vocabulary(header: dict):
@@ -114,14 +114,6 @@ def test_trace_mutants_exit_cleanly_and_name_their_line(files, data):
     code, err = run("classify", "--trace", str(path))
     if code == 3:
         assert len(re.findall(r"\b(?:line|step) \d+:", err)) == 1, err
-
-
-def outcome(read, path):
-    """The trace `read` reads from `path`, or the type and message of its refusal."""
-    try:
-        return read(path)
-    except ConstructionError as exc:
-        return type(exc), str(exc)
 
 
 @settings(FUZZ, max_examples=300)
